@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import dsp, evaluate, features, model as model_mod, training
 from .dsp import MelConfig
@@ -97,12 +96,6 @@ def _global_seed(seed):
 
 
 ABLATION_NAMES = {name: overrides for _, name, overrides in training.ABLATION_ROWS}
-ABLATION_NAMES.update({
-    "no-sap": {"use_sap": False},
-    "no-bottleneck": {"use_bottleneck": False},
-    "no-instance-norm": {"use_instance_norm": False},
-    "no-cross-attention": {"use_cross_attention": False},
-})
 
 
 @click.group()
@@ -186,9 +179,7 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
     try:
         cfg = resolve_train_config(config_file, overrides)
         if ablation:
-            key = ablation.replace("_", "-")
-            alt = ablation.replace("-", "_")
-            flags = ABLATION_NAMES.get(key) or ABLATION_NAMES.get(alt)
+            flags = ABLATION_NAMES.get(ablation.replace("-", "_"))
             if flags is None:
                 raise ConfigError(f"unknown ablation {ablation!r}; options: "
                                   + ", ".join(sorted(ABLATION_NAMES)))
@@ -230,20 +221,8 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
     try:
         mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
         src = features.load_feature_file(source)
-        if src.kind.name != mdl.config.source_feature_kind:
-            _fail(f"source kind mismatch: expected "
-                  f"{mdl.config.source_feature_kind!r}, got {src.kind.name!r}",
-                  EXIT_RUNTIME)
         tgts = [features.load_feature_file(t) for t in targets]
-        for t in tgts:
-            if t.kind.name != mdl.config.target_feature_kind:
-                _fail(f"target kind mismatch: expected "
-                      f"{mdl.config.target_feature_kind!r}, got {t.kind.name!r}",
-                      EXIT_RUNTIME)
-        mel_pred, trace = mdl.forward(src, tgts, train=False)
-        spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32),
-                               config=mel_cfg, kind="log_mel")
-        audio = dsp.griffin_lim(spec, mel_cfg, n_iter=gl_iters)
+        audio, trace, _ = evaluate.convert(mdl, src, tgts, mel_cfg, n_gl_iter=gl_iters)
         dsp.write_wav(out_wav, audio)
         if dump_trace:
             model_mod.write_trace(dump_trace, trace)
@@ -251,67 +230,6 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
             model_mod.ModelError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(f"wrote {out_wav}")
-
-
-def _run_eval(mdl, mel_cfg, manifest, scenario, n_pairs, seed, out_dir,
-              embedder=None, pairs=None):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if pairs is None:
-        pairs = evaluate.sample_pairs(manifest, n=n_pairs, scenario=scenario,
-                                      seed=seed)
-    mels = {}
-    for e in manifest.entries:
-        mels[e.utterance_id] = (evaluate._load_seq(e, "mel").frames, e.speaker_id)
-    if embedder is None:
-        embedder = evaluate.train_speaker_embedder(list(mels.values()), seed=seed)
-    by_spk = {}
-    for frames, spk in mels.values():
-        by_spk.setdefault(spk, []).append(embedder.embed(frames))
-    threshold, eer = evaluate.calibrate_threshold(by_spk, seed=seed)
-
-    scores = []
-    recon_l1 = []
-    for pair in pairs:
-        src_seq = evaluate._load_seq(pair.source, mdl.config.source_feature_kind)
-        tgts = [evaluate._load_seq(t, mdl.config.target_feature_kind)
-                for t in pair.targets]
-        mel_pred, _ = mdl.forward(src_seq, tgts, train=False)
-        conv_emb = embedder.embed(mel_pred.data)
-        tgt_embs = np.stack([embedder.embed(mels[t.utterance_id][0])
-                             for t in pair.targets])
-        centroid = tgt_embs.mean(axis=0)
-        centroid /= np.linalg.norm(centroid)
-        scores.append(evaluate.cosine_similarity(conv_emb, centroid))
-
-        # quality proxy: self-reconstruction error on the source utterance
-        self_tgt = evaluate._load_seq(pair.source, mdl.config.target_feature_kind)
-        self_pred, _ = mdl.forward(src_seq, [self_tgt], train=False)
-        gt = mels[pair.source.utterance_id][0]
-        t = min(self_pred.shape[0], gt.shape[0])
-        recon_l1.append(float(np.mean(np.abs(self_pred.data[:t] - gt[:t]))))
-
-    result = {
-        "scenario": scenario,
-        "n_pairs": len(pairs),
-        "seed": seed,
-        "sv_accuracy": evaluate.sv_accuracy(scores, threshold),
-        "eer": eer,
-        "threshold": threshold,
-        "recon_l1": float(np.mean(recon_l1)),
-        "model_config": mdl.config.to_dict(),
-    }
-    evaluate.render_report([{k: v for k, v in result.items()
-                             if k != "model_config"}],
-                           out_dir / "report.json", out_dir / "report.txt")
-    with open(out_dir / "report.json", "r+", encoding="utf-8") as fh:
-        payload = json.load(fh)
-        payload["model_config"] = result["model_config"]
-        fh.seek(0)
-        fh.truncate()
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result
 
 
 @main.command("eval")
@@ -327,15 +245,15 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
     if not Path(manifest_path).exists():
         _fail(f"manifest not found: {manifest_path}", EXIT_USAGE)
     try:
-        mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
+        mdl, _, extra, _ = model_mod.load_checkpoint(checkpoint)
         manifest = Manifest.load(manifest_path)
-        result = _run_eval(mdl, mel_cfg, manifest, scenario, n_pairs,
-                           _global_seed(seed), out_dir)
+        result = evaluate.run_eval(mdl, manifest, scenario, n_pairs,
+                                   _global_seed(seed), out_dir,
+                                   train_speakers=extra.get("train_speakers"))
     except (evaluate.EvalError, model_mod.CheckpointError,
             features.FeatureError) as e:
         _fail(str(e), EXIT_RUNTIME)
-    click.echo(json.dumps({k: v for k, v in result.items()
-                           if k != "model_config"}, indent=2, sort_keys=True))
+    click.echo(json.dumps(result, indent=2, sort_keys=True))
 
 
 @main.command("probe")
@@ -386,9 +304,8 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
 
     man = Manifest.load(manifest)
     pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=seed)
-    mels = {e.utterance_id: (evaluate._load_seq(e, "mel").frames, e.speaker_id)
-            for e in man.entries}
-    embedder = evaluate.train_speaker_embedder(list(mels.values()), seed=seed)
+    embedder = evaluate.train_speaker_embedder(
+        list(evaluate.load_mels(man).values()), seed=seed)
 
     rows = []
     try:
@@ -403,12 +320,10 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
                 continue
             click.echo(f"({row}) {name}: training {run_cfg.max_steps} steps")
             ckpt = training.run_training(run_cfg)
-            mdl, mel_cfg, _, _ = model_mod.load_checkpoint(ckpt)
-            result = _run_eval(mdl, mel_cfg, man, "s2s", n_pairs, seed,
-                               run_dir, embedder=embedder, pairs=pairs)
-            rows.append({"row": f"({row})", "name": name,
-                         **{k: v for k, v in result.items()
-                            if k != "model_config"}})
+            mdl, _, _, _ = model_mod.load_checkpoint(ckpt)
+            result = evaluate.run_eval(mdl, man, "s2s", n_pairs, seed, run_dir,
+                                       embedder=embedder, pairs=pairs)
+            rows.append({"row": f"({row})", "name": name, **result})
     except (training.TrainingError, evaluate.EvalError) as e:
         _fail(str(e), EXIT_RUNTIME)
 

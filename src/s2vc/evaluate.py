@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "EvalError",
     "sample_pairs",
     "convert",
+    "load_mels",
+    "run_eval",
     "SpeakerEmbedder",
     "train_speaker_embedder",
     "cosine_similarity",
@@ -59,10 +62,26 @@ class TestPair:
         return f"{self.source.utterance_id}__to__{self.targets[0].speaker_id}"
 
 
-def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5):
+def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
+                 train_speakers=None):
     """Seeded sampling of conversion pairs: one source utterance, five target
-    utterances from a different speaker, without replacement within a pair."""
+    utterances from a different speaker, without replacement within a pair.
+
+    ``s2s`` draws from every manifest speaker.  ``u2u`` draws only from
+    speakers absent from ``train_speakers``, the speaker ids a checkpoint
+    records as seen in training.
+    """
     by_speaker = manifest.speakers()
+    if scenario == "u2u":
+        if train_speakers is None:
+            raise EvalError("u2u needs the training speakers, and the checkpoint "
+                            "records none (retrain to record them)")
+        by_speaker = {s: es for s, es in by_speaker.items()
+                      if s not in train_speakers}
+        if len(by_speaker) < 2:
+            raise EvalError(
+                f"u2u needs at least 2 speakers unseen in training, manifest has "
+                f"{len(by_speaker)}: {sorted(by_speaker)}")
     eligible_targets = {s: es for s, es in by_speaker.items()
                         if len(es) >= targets_per_pair}
     if len(by_speaker) < 2:
@@ -101,16 +120,77 @@ def _load_seq(entry, kind):
     return seq
 
 
-def convert(model, pair, mel_cfg=None, n_gl_iter=60):
-    """Convert one pair; returns (AudioBuffer, AttentionTrace, mel prediction)."""
+def load_mels(manifest):
+    """Log-mel frames and speaker of every manifest utterance, by utterance id."""
+    return {e.utterance_id: (_load_seq(e, "mel").frames, e.speaker_id)
+            for e in manifest.entries}
+
+
+def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
+    """Convert ``src`` toward the speaker of ``tgts`` (FeatureSequences);
+    returns (AudioBuffer, AttentionTrace, mel prediction)."""
     mel_cfg = mel_cfg or dsp.MelConfig()
-    src = _load_seq(pair.source, model.config.source_feature_kind)
-    tgts = [_load_seq(t, model.config.target_feature_kind) for t in pair.targets]
     mel_pred, trace = model.forward(src, tgts, train=False)
     spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32),
                            config=mel_cfg, kind="log_mel")
     audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter)
     return audio, trace, mel_pred.data
+
+
+def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
+             pairs=None, train_speakers=None):
+    """Objective evaluation of ``model``; writes report.json and report.txt
+    to ``out_dir`` and returns the result row.
+
+    The embedder and the EER calibration always use the whole manifest;
+    ``scenario`` and ``train_speakers`` select the pairs (see sample_pairs)
+    unless ``pairs`` is given.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if pairs is None:
+        pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
+                             train_speakers=train_speakers)
+    mels = load_mels(manifest)
+    if embedder is None:
+        embedder = train_speaker_embedder(list(mels.values()), seed=seed)
+    by_spk = {}
+    for frames, spk in mels.values():
+        by_spk.setdefault(spk, []).append(embedder.embed(frames))
+    threshold, eer = calibrate_threshold(by_spk, seed=seed)
+
+    scores = []
+    recon_l1 = []
+    for pair in pairs:
+        src_seq = _load_seq(pair.source, model.config.source_feature_kind)
+        tgts = [_load_seq(t, model.config.target_feature_kind) for t in pair.targets]
+        mel_pred, _ = model.forward(src_seq, tgts, train=False)
+        conv_emb = embedder.embed(mel_pred.data)
+        tgt_embs = np.stack([embedder.embed(mels[t.utterance_id][0])
+                             for t in pair.targets])
+        centroid = tgt_embs.mean(axis=0)
+        centroid /= np.linalg.norm(centroid)
+        scores.append(cosine_similarity(conv_emb, centroid))
+
+        # quality proxy: self-reconstruction error on the source utterance
+        self_tgt = _load_seq(pair.source, model.config.target_feature_kind)
+        self_pred, _ = model.forward(src_seq, [self_tgt], train=False)
+        gt = mels[pair.source.utterance_id][0]
+        t = min(self_pred.shape[0], gt.shape[0])
+        recon_l1.append(float(np.mean(np.abs(self_pred.data[:t] - gt[:t]))))
+
+    result = {
+        "scenario": scenario,
+        "n_pairs": len(pairs),
+        "seed": seed,
+        "sv_accuracy": sv_accuracy(scores, threshold),
+        "eer": eer,
+        "threshold": threshold,
+        "recon_l1": float(np.mean(recon_l1)),
+    }
+    render_report([result], out_dir / "report.json", out_dir / "report.txt",
+                  model_config=model.config.to_dict())
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +433,15 @@ def probe_speaker_info(model, manifest, site, seed=0, max_pairs=40,
 # ---------------------------------------------------------------------------
 # reports
 
-def render_report(results, json_path, text_path):
+def render_report(results, json_path, text_path, model_config=None):
     """Write report.json and an aligned-text grid.
 
-    ``results`` is a list of dicts; keys become columns.
+    ``results`` is a list of dicts; keys become columns.  ``model_config``,
+    when given, is stored next to the results in report.json only.
     """
     payload = {"results": results}
+    if model_config is not None:
+        payload["model_config"] = model_config
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,6 +12,7 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict, field, replace
@@ -295,6 +296,20 @@ class S2VCModel:
 # ---------------------------------------------------------------------------
 # CRC-guarded blob container shared by checkpoints and traces
 
+def _write_atomic(path, data):
+    """Replace ``path`` with ``data`` through a temp file in the same
+    directory, so an interrupted write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _pack_blob_file(magic, meta, arrays):
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = [magic, struct.pack("<HI", FORMAT_VERSION, len(meta_bytes)), meta_bytes,
@@ -352,8 +367,7 @@ def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=
     arrays = model.state_arrays()
     if extra_arrays:
         arrays.update({f"extra.{k}": v for k, v in extra_arrays.items()})
-    with open(path, "wb") as fh:
-        fh.write(_pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
+    _write_atomic(path, _pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
 
 
 def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
@@ -386,8 +400,7 @@ def write_trace(path, trace):
     meta = {"has_pooled": trace.pooled_target is not None}
     if trace.pooled_target is not None:
         arrays["pooled_target"] = trace.pooled_target
-    with open(path, "wb") as fh:
-        fh.write(_pack_blob_file(TRACE_MAGIC, meta, arrays))
+    _write_atomic(path, _pack_blob_file(TRACE_MAGIC, meta, arrays))
 
 
 def read_trace(path):

@@ -159,7 +159,8 @@ def run_training(cfg, resume_from=None, log_fn=None):
 
     Missing feature files are enumerated before step 1.  A checkpoint written
     every ``checkpoint_every`` steps carries optimizer and RNG state so a
-    resumed run reproduces the uninterrupted loss trajectory.
+    resumed run reproduces the uninterrupted loss trajectory.  Each step's
+    line is flushed to ``train_log.jsonl`` as the step ends.
     """
     manifest = Manifest.load(cfg.manifest)
     missing = []
@@ -198,11 +199,14 @@ def run_training(cfg, resume_from=None, log_fn=None):
         step = 0
         rng = np.random.default_rng(cfg.seed)
 
+    train_speakers = sorted(manifest.speakers())
+
     def _save(path, at_step):
         save_checkpoint(
             model, path, mel_config=cfg.mel,
             extra_meta={
                 "train_config": cfg.to_dict(),
+                "train_speakers": train_speakers,
                 "step": at_step,
                 "optimizer_t": optimizer.t,
                 "rng_state": json.dumps(rng.bit_generator.state),
@@ -214,30 +218,36 @@ def run_training(cfg, resume_from=None, log_fn=None):
     if step == 0:
         _save(out_dir / "checkpoint_init.s2vc", 0)
 
-    log_lines = []
+    # the log keeps its lines up to the step the run starts from; a resumed
+    # run cuts the lines of the steps it is about to redo
+    keep_bytes = 0
+    if resume_from is not None and log_path.exists():
+        with open(log_path, "rb") as fh:
+            for raw in fh:
+                if json.loads(raw)["step"] > step:
+                    break
+                keep_bytes += len(raw)
     entries = manifest.entries
-    while step < cfg.max_steps:
-        idx = rng.integers(0, len(entries), size=cfg.batch_size)
-        batch = []
-        for i in idx:
-            feats = _load_utterance(entries[int(i)], cfg.model.source_feature_kind,
-                                    cfg.model.target_feature_kind)
-            batch.append(_make_item(feats, cfg, rng))
-        t0 = time.monotonic()
-        loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm)
-        step += 1
-        line = {"step": step, "loss": loss, "lr": cfg.learning_rate,
-                "wall_ms": round((time.monotonic() - t0) * 1000.0, 3)}
-        log_lines.append(line)
-        if log_fn:
-            log_fn(line)
-        if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
-            _save(out_dir / f"checkpoint_{step:06d}.s2vc", step)
-
-    mode = "a" if resume_from is not None else "w"
-    with open(log_path, mode, encoding="utf-8") as fh:
-        for line in log_lines:
-            fh.write(json.dumps(line) + "\n")
+    with open(log_path, "a", encoding="utf-8") as log:
+        log.truncate(keep_bytes)
+        while step < cfg.max_steps:
+            idx = rng.integers(0, len(entries), size=cfg.batch_size)
+            batch = []
+            for i in idx:
+                feats = _load_utterance(entries[int(i)], cfg.model.source_feature_kind,
+                                        cfg.model.target_feature_kind)
+                batch.append(_make_item(feats, cfg, rng))
+            t0 = time.monotonic()
+            loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm)
+            step += 1
+            line = {"step": step, "loss": loss, "lr": cfg.learning_rate,
+                    "wall_ms": round((time.monotonic() - t0) * 1000.0, 3)}
+            log.write(json.dumps(line) + "\n")
+            log.flush()
+            if log_fn:
+                log_fn(line)
+            if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+                _save(out_dir / f"checkpoint_{step:06d}.s2vc", step)
 
     final = out_dir / "checkpoint_final.s2vc"
     _save(final, step)

@@ -53,3 +53,14 @@ def corpus_manifest(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("corpus")
     return build_corpus(root, speakers=("spkA", "spkB"), utts_per_speaker=6)
+
+
+@pytest.fixture(scope="session")
+def four_speaker_manifest(tmp_path_factory):
+    """spkA/spkB stand for the training speakers, spkC/spkD for unseen ones;
+    five utterances each, the target count of one pair."""
+    from toycorpus import build_corpus
+
+    root = tmp_path_factory.mktemp("corpus4")
+    return build_corpus(root, speakers=("spkA", "spkB", "spkC", "spkD"),
+                        utts_per_speaker=5)

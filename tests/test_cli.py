@@ -249,6 +249,25 @@ class TestEval:
                                    str(tmp_path / "nope.jsonl")])
         assert res.exit_code == 2
 
+    def test_u2u_without_training_speakers_runtime_error(
+            self, runner, four_speaker_manifest, tiny_checkpoint, tmp_path):
+        res = runner.invoke(main, ["eval", str(tiny_checkpoint),
+                                   str(four_speaker_manifest), "--scenario", "u2u",
+                                   "--n-pairs", "2", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1
+        assert "records none" in res.stderr
+
+    def test_u2u_reads_training_speakers_from_checkpoint(
+            self, runner, four_speaker_manifest, tmp_path):
+        ckpt = tmp_path / "model.s2vc"
+        save_checkpoint(S2VCModel(tiny_model_config(), seed=0), ckpt,
+                        extra_meta={"train_speakers": ["spkA", "spkB", "spkC"]})
+        res = runner.invoke(main, ["eval", str(ckpt), str(four_speaker_manifest),
+                                   "--scenario", "u2u", "--n-pairs", "2",
+                                   "--out-dir", str(tmp_path / "eval")])
+        assert res.exit_code == 1
+        assert "['spkD']" in res.stderr
+
 
 class TestProbeCommand:
     def test_probe_json(self, runner, corpus_manifest, tiny_checkpoint, tmp_path):

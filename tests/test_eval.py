@@ -78,6 +78,32 @@ class TestPairs:
         with pytest.raises(EvalError, match="2 speakers"):
             sample_pairs(solo, n=5)
 
+    def test_u2u_draws_only_unseen_speakers(self, four_speaker_manifest):
+        man = Manifest.load(four_speaker_manifest)
+        pairs = sample_pairs(man, n=20, scenario="u2u", seed=0,
+                             train_speakers=["spkA", "spkB"])
+        used = {p.source.speaker_id for p in pairs}
+        used |= {t.speaker_id for p in pairs for t in p.targets}
+        assert used == {"spkC", "spkD"}
+
+    def test_s2s_ignores_training_speakers(self, four_speaker_manifest):
+        man = Manifest.load(four_speaker_manifest)
+        a = sample_pairs(man, n=20, seed=0)
+        b = sample_pairs(man, n=20, seed=0, train_speakers=["spkA", "spkB"])
+        assert [p.pair_id for p in a] == [p.pair_id for p in b]
+        assert {p.source.speaker_id for p in a} == {"spkA", "spkB", "spkC", "spkD"}
+
+    def test_u2u_needs_recorded_training_speakers(self, four_speaker_manifest):
+        man = Manifest.load(four_speaker_manifest)
+        with pytest.raises(EvalError, match="records none"):
+            sample_pairs(man, n=2, scenario="u2u")
+
+    def test_u2u_needs_two_unseen_speakers(self, four_speaker_manifest):
+        man = Manifest.load(four_speaker_manifest)
+        with pytest.raises(EvalError, match="2 speakers unseen"):
+            sample_pairs(man, n=2, scenario="u2u",
+                         train_speakers=["spkA", "spkB", "spkC"])
+
     def test_pair_validation(self, manifest):
         by_spk = manifest.speakers()
         with pytest.raises(EvalError, match="differ"):
@@ -196,8 +222,9 @@ class TestEmbedder:
 class TestConvert:
     def test_returns_audio_and_trace(self, manifest, tiny_model):
         by_spk = manifest.speakers()
-        pair = Pair(by_spk["spkA"][0], by_spk["spkB"][:5])
-        audio, trace, mel_pred = convert(tiny_model, pair, n_gl_iter=5)
+        src = load_feature_file(by_spk["spkA"][0].features["mel"])
+        tgts = [load_feature_file(e.features["mel"]) for e in by_spk["spkB"][:5]]
+        audio, trace, mel_pred = convert(tiny_model, src, tgts, n_gl_iter=5)
         assert audio.sample_rate == 16000
         assert len(audio.samples) > 0
         assert mel_pred.shape[1] == 80

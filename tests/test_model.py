@@ -1,8 +1,10 @@
+import errno
 import itertools
 
 import numpy as np
 import pytest
 
+from s2vc import model as model_mod
 from s2vc import nn
 from s2vc import tensor as T
 from s2vc.features import FeatureSequence, resolve_kind
@@ -313,6 +315,52 @@ class TestCheckpoint:
         save_checkpoint(tiny_model, p1)
         save_checkpoint(tiny_model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class _HalfWrittenFile:
+    """Stores the first half of what it is asked to write, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _open_half_written(path, mode, *args, **kwargs):
+    return _HalfWrittenFile(open(path, mode, *args, **kwargs))
+
+
+class TestInterruptedWrite:
+    @pytest.mark.parametrize("kind", ["checkpoint", "trace"])
+    def test_previous_file_survives(self, kind, tiny_model, rng, tmp_path,
+                                    monkeypatch):
+        if kind == "checkpoint":
+            path = tmp_path / "model.s2vc"
+            write, read = (lambda: save_checkpoint(tiny_model, path)), load_checkpoint
+        else:
+            path = tmp_path / "trace.s2vt"
+            _, trace = tiny_model.forward(mel_seq(rng, 4, spk="s1"),
+                                          [mel_seq(rng, 6, utt="t", spk="s2")])
+            write, read = (lambda: write_trace(path, trace)), read_trace
+        write()
+        good = path.read_bytes()
+        monkeypatch.setattr(model_mod, "open", _open_half_written, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write()
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        read(path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestTrace:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from s2vc import tensor as T
+from s2vc import training
 from s2vc.features import Manifest, load_feature_file
 from s2vc.model import S2VCModel, load_checkpoint
 from s2vc.tensor import AdamW, ShapeError, Tensor
@@ -125,6 +126,7 @@ class TestRunTraining:
         assert (tmp_path / "run" / "checkpoint_init.s2vc").exists()
         mdl, _, extra, _ = load_checkpoint(final)
         assert extra["step"] == 0
+        assert extra["train_speakers"] == ["spkA", "spkB"]
         assert mdl.config == cfg.model
 
     def test_log_lines_written(self, corpus_manifest, tmp_path):
@@ -134,6 +136,35 @@ class TestRunTraining:
         records = [json.loads(l) for l in lines]
         assert [r["step"] for r in records] == [1, 2]
         assert all(np.isfinite(r["loss"]) for r in records)
+
+    def test_log_survives_failed_step(self, corpus_manifest, tmp_path,
+                                      monkeypatch):
+        real_step = training.train_step
+        calls = []
+
+        def fail_on_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise TrainingError("injected failure on step 3")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", fail_on_third)
+        cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=4)
+        with pytest.raises(TrainingError, match="step 3"):
+            run_training(cfg)
+        lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+        assert [json.loads(l)["step"] for l in lines] == [1, 2]
+
+    def test_resume_cuts_redone_log_lines(self, corpus_manifest, tmp_path):
+        cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=4,
+                       checkpoint_every=2)
+        log_path = tmp_path / "run" / "train_log.jsonl"
+        run_training(cfg)
+        first = [json.loads(l) for l in log_path.read_text().splitlines()]
+        run_training(cfg, resume_from=tmp_path / "run" / "checkpoint_000002.s2vc")
+        again = [json.loads(l) for l in log_path.read_text().splitlines()]
+        assert [r["step"] for r in again] == [1, 2, 3, 4]
+        assert [r["loss"] for r in again] == [r["loss"] for r in first]
 
     def test_missing_feature_files_enumerated(self, corpus_manifest, tmp_path):
         man = Manifest.load(corpus_manifest)
