@@ -442,9 +442,8 @@ def render_report(results, json_path, text_path, model_config=None):
     payload = {"results": results}
     if model_config is not None:
         payload["model_config"] = model_config
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    dsp.write_atomic(json_path, text.encode("utf-8"))
 
     columns = []
     for r in results:
@@ -457,8 +456,7 @@ def render_report(results, json_path, text_path, model_config=None):
     lines.append("  ".join("-" * widths[c] for c in columns))
     for r in results:
         lines.append("  ".join(_fmt(r.get(c, "")).ljust(widths[c]) for c in columns))
-    with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    dsp.write_atomic(text_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return payload
 
 

@@ -154,8 +154,7 @@ def write_feature_file(path, seq):
         + _pack_str(seq.speaker_id)
     )
     payload = seq.frames.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    dsp.write_atomic(path, header + payload)
 
 
 def load_feature_file(path):
@@ -273,9 +272,8 @@ class Manifest:
         return cls(entries)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(e.to_json() + "\n")
+        text = "".join(e.to_json() + "\n" for e in self.entries)
+        dsp.write_atomic(path, text.encode("utf-8"))
 
     def speakers(self):
         out = {}

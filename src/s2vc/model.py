@@ -12,7 +12,6 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict, field, replace
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .dsp import MelConfig
+from .dsp import MelConfig, write_atomic
 from .features import FeatureSequence, align_frame_rate, concat_target, resolve_kind
 from .tensor import Tensor
 
@@ -296,20 +295,6 @@ class S2VCModel:
 # ---------------------------------------------------------------------------
 # CRC-guarded blob container shared by checkpoints and traces
 
-def _write_atomic(path, data):
-    """Replace ``path`` with ``data`` through a temp file in the same
-    directory, so an interrupted write leaves the previous file intact."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def _pack_blob_file(magic, meta, arrays):
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = [magic, struct.pack("<HI", FORMAT_VERSION, len(meta_bytes)), meta_bytes,
@@ -367,7 +352,7 @@ def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=
     arrays = model.state_arrays()
     if extra_arrays:
         arrays.update({f"extra.{k}": v for k, v in extra_arrays.items()})
-    _write_atomic(path, _pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
+    write_atomic(path, _pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
 
 
 def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
@@ -400,7 +385,7 @@ def write_trace(path, trace):
     meta = {"has_pooled": trace.pooled_target is not None}
     if trace.pooled_target is not None:
         arrays["pooled_target"] = trace.pooled_target
-    _write_atomic(path, _pack_blob_file(TRACE_MAGIC, meta, arrays))
+    write_atomic(path, _pack_blob_file(TRACE_MAGIC, meta, arrays))
 
 
 def read_trace(path):

@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,30 @@ def gradcheck(fn, inputs, h=1e-3, rtol=1e-4, atol=1e-6):
         max_rel = max(max_rel, float(err.max()))
     assert max_rel < rtol, f"gradient mismatch: max relative error {max_rel:.3g}"
     return max_rel
+
+
+class _HalfWrittenFile:
+    """Stores the first half of what it is asked to write, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def open_half_written(path, mode, *args, **kwargs):
+    """Stand-in for ``open`` whose files fail halfway through a write."""
+    return _HalfWrittenFile(open(path, mode, *args, **kwargs))
 
 
 @pytest.fixture

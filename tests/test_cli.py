@@ -9,8 +9,9 @@ from s2vc import dsp
 from s2vc.cli import load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
-from s2vc.features import Manifest, load_feature_file
+from s2vc.features import Manifest, extract_mel, load_feature_file, write_feature_file
 from s2vc.model import S2VCModel, read_trace, save_checkpoint
+from test_dsp import _reference_resample
 from toycorpus import tiny_model_config
 
 
@@ -99,6 +100,24 @@ class TestFeats:
         assert (out / "manifest.jsonl").read_bytes() == first
         for p in out.glob("*.s2vf"):
             assert p.read_bytes() == files[p.name]
+
+    def test_48k_matches_reference_resampler(self, runner, tmp_path):
+        # VCTK ships at 48 kHz: the feature file must be byte for byte the
+        # one the per-sample resampling loop gives
+        wav_dir = tmp_path / "wav"
+        wav_dir.mkdir()
+        t = np.arange(48000) / 48000
+        wave = 0.3 * np.sin(2 * np.pi * 220 * t) + 0.2 * np.sin(2 * np.pi * 3100 * t)
+        wav = wav_dir / "spkA_u1.wav"
+        dsp.write_wav(wav, dsp.AudioBuffer(wave, 48000))
+        out = tmp_path / "feats"
+        res = runner.invoke(main, ["feats", str(wav_dir), str(out)])
+        assert res.exit_code == 0, res.output
+        expected = tmp_path / "expected.mel.s2vf"
+        write_feature_file(expected, extract_mel(
+            _reference_resample(dsp.read_wav(wav), 16000),
+            utterance_id="spkA_u1", speaker_id="spkA"))
+        assert (out / "spkA_u1.mel.s2vf").read_bytes() == expected.read_bytes()
 
     def test_missing_dir_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["feats", str(tmp_path / "nope"),

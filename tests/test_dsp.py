@@ -17,6 +17,40 @@ from s2vc.dsp import (
     stft,
     write_wav,
 )
+from s2vc.evaluate import render_report
+from s2vc.features import Manifest, ManifestEntry, extract_mel, write_feature_file
+
+from conftest import open_half_written
+
+
+def _reference_resample(buf, target_rate):
+    """The per-sample resampling loop that ``resample``'s tap table replaces:
+    every output evaluates the Kaiser-sinc kernel at its own offsets."""
+    if target_rate <= 0:
+        raise DspError(f"invalid target rate {target_rate}")
+    if target_rate == buf.sample_rate:
+        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+
+    ratio = target_rate / buf.sample_rate
+    n_out = int(round(len(buf.samples) * ratio))
+    cutoff = min(1.0, ratio)
+    half_width = 16.0 / cutoff
+
+    x = buf.samples
+    out = np.zeros(n_out, dtype=np.float64)
+    centers = np.arange(n_out) / ratio
+    left = np.ceil(centers - half_width).astype(np.int64)
+    n_taps = int(2 * half_width) + 1
+    for j in range(n_taps):
+        idx = left + j
+        valid = (idx >= 0) & (idx < len(x))
+        taps = dsp._kaiser_sinc(idx - centers, cutoff, half_width=half_width)
+        out[valid] += taps[valid] * x[idx[valid]]
+    return AudioBuffer(out, target_rate)
+
+
+def noise(rng, duration, sr):
+    return AudioBuffer(rng.uniform(-0.9, 0.9, int(round(duration * sr))), sr)
 
 
 def sine(freq, duration=1.0, sr=16000, amp=0.5):
@@ -109,6 +143,81 @@ class TestResample:
         out = resample(buf, 48000)
         assert len(out.samples) == 3 * len(buf.samples)
 
+    # one reduced ratio p/q with p == 1 or q == 1: the tap table computes
+    # the same products and sums them in the same order as the oracle
+    @pytest.mark.parametrize("sr", [48000, 32000, 24000, 8000])
+    def test_matches_reference_exactly(self, sr, rng):
+        buf = noise(rng, 0.3, sr)
+        out = resample(buf, 16000)
+        assert out.sample_rate == 16000
+        np.testing.assert_array_equal(out.samples,
+                                      _reference_resample(buf, 16000).samples)
+
+    # the oracle's float centers n / ratio drift off the exact rational
+    # ones by about 1e-11 here; the table's integer block shifts do not
+    @pytest.mark.parametrize("sr,target", [(44100, 16000), (22050, 16000),
+                                           (16000, 48000)])
+    def test_matches_reference_at_other_ratios(self, sr, target, rng):
+        buf = noise(rng, 0.3, sr)
+        out = resample(buf, target)
+        np.testing.assert_allclose(out.samples,
+                                   _reference_resample(buf, target).samples,
+                                   rtol=0, atol=1e-9)
+
+    def test_zero_samples(self):
+        out = resample(AudioBuffer(np.zeros(0), 48000), 16000)
+        assert out.samples.shape == (0,)
+        assert out.sample_rate == 16000
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 47])
+    def test_shorter_than_half_width(self, n, rng):
+        # half_width is 48 input samples at 48 kHz -> 16 kHz
+        buf = AudioBuffer(rng.uniform(-1, 1, n), 48000)
+        np.testing.assert_array_equal(resample(buf, 16000).samples,
+                                      _reference_resample(buf, 16000).samples)
+
+    @pytest.mark.parametrize("sr,target", [(48000, 16000), (44100, 16000),
+                                           (16000, 48000), (48000, 16001)])
+    def test_output_length_is_rounded(self, sr, target, rng):
+        for n in [0, 1, 2, 3, 4, 7, 100, 101, 441, 1000, 1001]:
+            out = resample(AudioBuffer(rng.uniform(-1, 1, n), sr), target)
+            assert len(out.samples) == round(n * target / sr)
+
+    def test_table_bounded_by_output(self, rng, monkeypatch):
+        # 48000 -> 16001 reduces to p/q = 16001/48000: 16001 phases, of which
+        # a 0.1 s clip reaches only its 1600 outputs
+        rows = []
+        kernel = dsp._kaiser_sinc
+
+        def recording_kernel(t, *args, **kwargs):
+            rows.append(t.shape[0])
+            return kernel(t, *args, **kwargs)
+
+        buf = noise(rng, 0.1, 48000)
+        monkeypatch.setattr(dsp, "_kaiser_sinc", recording_kernel)
+        out = resample(buf, 16001)
+        monkeypatch.undo()
+        assert rows == [1600]
+        np.testing.assert_allclose(out.samples,
+                                   _reference_resample(buf, 16001).samples,
+                                   rtol=0, atol=1e-9)
+
+    def test_integral_float_rates(self, rng):
+        buf = noise(rng, 0.1, 48000)
+        expected = resample(buf, 16000).samples
+        np.testing.assert_array_equal(resample(buf, 16000.0).samples, expected)
+        as_float = AudioBuffer(buf.samples, 48000.0)
+        np.testing.assert_array_equal(resample(as_float, 16000).samples, expected)
+
+    @pytest.mark.parametrize("target", [16000.5, 0, -16000])
+    def test_invalid_target_rate(self, target):
+        with pytest.raises(DspError, match="invalid sample rate"):
+            resample(AudioBuffer(np.zeros(480), 48000), target)
+
+    def test_non_integral_source_rate(self):
+        with pytest.raises(DspError, match="invalid sample rate"):
+            resample(AudioBuffer(np.zeros(480), 44100.5), 16000)
+
 
 class TestLogMel:
     def test_silence_hits_log_floor(self):
@@ -200,3 +309,42 @@ class TestGriffinLim:
                                config=cfg, kind="linear")
         with pytest.raises(DspError):
             griffin_lim(spec, cfg)
+
+
+def _write_wav(path):
+    write_wav(path, AudioBuffer(np.linspace(-0.5, 0.5, 800), 16000))
+
+
+def _write_features(path):
+    write_feature_file(path, extract_mel(AudioBuffer(np.zeros(800), 16000),
+                                         utterance_id="u1", speaker_id="s1"))
+
+
+def _write_manifest(path):
+    Manifest([ManifestEntry("u1", "s1", wav="u1.wav",
+                            features={"mel": "u1.mel.s2vf"})]).save(path)
+
+
+def _write_report(path):
+    render_report([{"config": "a", "svar": 0.5}], path, path.with_suffix(".txt"))
+
+
+class TestInterruptedWrite:
+    """Every writer goes through ``write_atomic``: a write that fails partway
+    leaves the previous file intact and no temp file behind."""
+
+    @pytest.mark.parametrize("write,name", [
+        (_write_wav, "a.wav"),
+        (_write_features, "u1.mel.s2vf"),
+        (_write_manifest, "manifest.jsonl"),
+        (_write_report, "report.json"),
+    ], ids=["wav", "features", "manifest", "report"])
+    def test_previous_file_survives(self, write, name, tmp_path, monkeypatch):
+        path = tmp_path / name
+        write(path)
+        good = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(dsp, "open", open_half_written, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == good

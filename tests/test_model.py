@@ -1,10 +1,9 @@
-import errno
 import itertools
 
 import numpy as np
 import pytest
 
-from s2vc import model as model_mod
+from s2vc import dsp
 from s2vc import nn
 from s2vc import tensor as T
 from s2vc.features import FeatureSequence, resolve_kind
@@ -21,7 +20,7 @@ from s2vc.model import (
 )
 from s2vc.tensor import GradTape, Tensor
 
-from conftest import gradcheck
+from conftest import gradcheck, open_half_written
 from toycorpus import tiny_model_config
 
 
@@ -317,29 +316,6 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class _HalfWrittenFile:
-    """Stores the first half of what it is asked to write, then fails as a
-    full disk would."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[:len(data) // 2])
-        self.fh.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def _open_half_written(path, mode, *args, **kwargs):
-    return _HalfWrittenFile(open(path, mode, *args, **kwargs))
-
-
 class TestInterruptedWrite:
     @pytest.mark.parametrize("kind", ["checkpoint", "trace"])
     def test_previous_file_survives(self, kind, tiny_model, rng, tmp_path,
@@ -354,7 +330,7 @@ class TestInterruptedWrite:
             write, read = (lambda: write_trace(path, trace)), read_trace
         write()
         good = path.read_bytes()
-        monkeypatch.setattr(model_mod, "open", _open_half_written, raising=False)
+        monkeypatch.setattr(dsp, "open", open_half_written, raising=False)
         with pytest.raises(OSError, match="No space"):
             write()
         monkeypatch.undo()
