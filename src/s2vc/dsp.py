@@ -227,12 +227,12 @@ def resample(buf, target_rate):
     target = _whole_rate(target_rate)
     source = _whole_rate(buf.sample_rate)
     if target == source:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate)
+        return AudioBuffer(buf.samples.copy(), target)
 
-    ratio = target_rate / buf.sample_rate
+    ratio = target / source
     n_out = int(round(len(buf.samples) * ratio))
     if n_out == 0:
-        return AudioBuffer(np.zeros(0), target_rate)
+        return AudioBuffer(np.zeros(0), target)
     # cutoff relative to the input Nyquist; widen the kernel when downsampling
     cutoff = min(1.0, ratio)
     half_width = 16.0 / cutoff
@@ -264,7 +264,7 @@ def resample(buf, target_rate):
         col = first + j
         np.multiply(runs[col % q, col // q], table[:, j, None], out=term)
         out += term
-    return AudioBuffer(out.T.reshape(-1)[:n_out], target_rate)
+    return AudioBuffer(out.T.reshape(-1)[:n_out], target)
 
 
 # ---------------------------------------------------------------------------

@@ -211,13 +211,13 @@ class S2VCModel:
             q = nn.linear(self.params, f"attn.{block}.bq", q)
             k = nn.linear(self.params, f"attn.{block}.bk", k)
         scale = 1.0 / float(np.sqrt(cfg.attn_dim))
-        attn = T.softmax(T.matmul(q, T.transpose(k)) * scale, axis=1)
-        out = T.matmul(attn, v) + src_h
+        attended, weights = T.attention(q, k, v, 1, scale)
+        out = attended + src_h
         trace = AttentionTrace(
             q=q.data.astype(np.float32, copy=True),
             k=k.data.astype(np.float32, copy=True),
             v=v.data.astype(np.float32, copy=True),
-            attn_weights=attn.data.astype(np.float32, copy=True),
+            attn_weights=weights[0].astype(np.float32, copy=True),
         )
         return out, trace
 

@@ -27,7 +27,7 @@ def init_linear(params, name, d_in, d_out, rng):
 
 
 def linear(params, name, x):
-    return T.matmul(x, params[f"{name}.w"]) + params[f"{name}.b"]
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def init_batchnorm(params, buffers, name, dim):
@@ -41,28 +41,19 @@ def batchnorm(params, buffers, name, x, train):
     """Batch norm over the time axis of a T x C activation."""
     gamma = params[f"{name}.gamma"]
     beta = params[f"{name}.beta"]
+    rm = buffers[f"{name}.running_mean"]
+    rv = buffers[f"{name}.running_var"]
     if train:
-        mu = T.mean(x, axis=0, keepdims=True)
-        centered = x - mu
-        var = T.mean(centered * centered, axis=0, keepdims=True)
-        y = centered / T.sqrt(var + BN_EPS)
-        rm = buffers[f"{name}.running_mean"]
-        rv = buffers[f"{name}.running_var"]
-        rm.data[...] = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * mu.data
-        rv.data[...] = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * var.data
-    else:
-        rm = buffers[f"{name}.running_mean"]
-        rv = buffers[f"{name}.running_var"]
-        y = (x - rm) / np.sqrt(rv.data + BN_EPS)
-    return gamma * y + beta
+        y, mu, var = T.batchnorm(x, gamma, beta, BN_EPS)
+        rm.data[...] = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * mu
+        rv.data[...] = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * var
+        return y
+    return gamma * ((x - rm) / np.sqrt(rv.data + BN_EPS)) + beta
 
 
 def instance_norm(x, eps=IN_EPS):
     """Per-channel normalization over time, no learned affine."""
-    mu = T.mean(x, axis=0, keepdims=True)
-    centered = x - mu
-    var = T.mean(centered * centered, axis=0, keepdims=True)
-    return centered / T.sqrt(var + eps)
+    return T.instance_norm(x, eps)
 
 
 def init_layernorm(params, name, dim):
@@ -71,14 +62,7 @@ def init_layernorm(params, name, dim):
 
 
 def layer_norm(params, name, x):
-    # per-row stats == per-column stats of the transpose, which row
-    # broadcasting supports
-    xt = T.transpose(x)
-    mu = T.mean(xt, axis=0, keepdims=True)
-    centered = xt - mu
-    var = T.mean(centered * centered, axis=0, keepdims=True)
-    y = T.transpose(centered / T.sqrt(var + LN_EPS))
-    return params[f"{name}.gamma"] * y + params[f"{name}.beta"]
+    return T.layer_norm(x, params[f"{name}.gamma"], params[f"{name}.beta"], LN_EPS)
 
 
 def init_conv1d(params, name, c_in, c_out, kernel, rng):
@@ -92,13 +76,8 @@ def conv1d(params, name, x):
     return T.conv1d(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def swish(x):
-    return x * T.sigmoid(x)
-
-
-def glu(x):
-    half = x.shape[1] // 2
-    return T.cols(x, 0, half) * T.sigmoid(T.cols(x, half, 2 * half))
+swish = T.swish
+glu = T.glu
 
 
 def init_mhsa(params, name, d_model, rng):
@@ -107,21 +86,12 @@ def init_mhsa(params, name, d_model, rng):
 
 
 def multi_head_self_attention(params, name, x, n_heads):
-    d_model = x.shape[1]
-    if d_model % n_heads:
-        raise T.ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
-    d_head = d_model // n_heads
     q = linear(params, f"{name}.q", x)
     k = linear(params, f"{name}.k", x)
     v = linear(params, f"{name}.v", x)
-    heads = []
-    scale = 1.0 / float(np.sqrt(d_head))
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh, kh, vh = T.cols(q, lo, hi), T.cols(k, lo, hi), T.cols(v, lo, hi)
-        scores = T.matmul(qh, T.transpose(kh)) * scale
-        heads.append(T.matmul(T.softmax(scores, axis=1), vh))
-    return linear(params, f"{name}.o", T.concat_cols(heads))
+    scale = 1.0 / float(np.sqrt(x.shape[1] // n_heads))
+    heads, _ = T.attention(q, k, v, n_heads, scale)
+    return linear(params, f"{name}.o", heads)
 
 
 def init_conformer_block(params, buffers, name, cfg, rng):

@@ -5,6 +5,12 @@ Everything the network does is built from the primitives in this file: a
 one backward closure per operation, and the AdamW optimizer.  The tape is
 rebuilt on every forward pass; there is no retained graph.
 
+Besides the elementwise, reduction and shaping primitives, the layers of the
+network are fused ops, each one tape entry with an analytic backward:
+``linear``, ``layer_norm``, ``instance_norm``, train-mode ``batchnorm``,
+``swish``, ``glu`` and multi-head scaled-dot-product ``attention``.  A
+backward closure computes only the gradients of inputs that require one.
+
 Broadcasting is deliberately restricted to the two forms the model actually
 uses (scalar-vs-tensor and row-vector-vs-matrix).  Anything else raises
 ``ShapeError`` instead of silently doing the numpy thing.
@@ -28,6 +34,7 @@ __all__ = [
     "AdamW",
     "backward",
     "matmul",
+    "linear",
     "transpose",
     "relu",
     "exp",
@@ -35,10 +42,16 @@ __all__ = [
     "abs_",
     "sqrt",
     "sigmoid",
+    "swish",
+    "glu",
     "softmax",
+    "attention",
     "cross_entropy",
     "sum_",
     "mean",
+    "layer_norm",
+    "instance_norm",
+    "batchnorm",
     "concat_rows",
     "concat_cols",
     "rows",
@@ -371,13 +384,54 @@ def sqrt(x):
     return _make(res, "sqrt", (x,), bw)
 
 
+def _logistic(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(x):
-    res = 1.0 / (1.0 + np.exp(-x.data))
+    res = _logistic(x.data)
 
     def bw(g):
         return (g * res * (1.0 - res),)
 
     return _make(res, "sigmoid", (x,), bw)
+
+
+def swish(x):
+    """``x * sigmoid(x)``."""
+    s = _logistic(x.data)
+    res = x.data * s
+
+    def bw(g):
+        # d/dx = s * (1 + x * (1 - s))
+        gx = 1.0 - s
+        gx *= x.data
+        gx += 1.0
+        gx *= s
+        gx *= g
+        return (gx,)
+
+    return _make(res, "swish", (x,), bw)
+
+
+def glu(x):
+    """Gated linear unit: the left half of the columns times the sigmoid of
+    the right half; an odd last column is ignored."""
+    half = x.shape[1] // 2
+    a = x.data[:, :half]
+    s = _logistic(x.data[:, half:2 * half])
+    res = a * s
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        np.multiply(g, s, out=gx[:, :half])
+        gb = gx[:, half:2 * half]
+        np.multiply(g, a, out=gb)
+        gb *= s
+        gb *= 1.0 - s
+        return (gx,)
+
+    return _make(res, "glu", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +443,26 @@ def matmul(a, b):
     res = a.data @ b.data
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(res, "matmul", (a, b), bw)
+
+
+def linear(x, w, b):
+    """``x @ w + b``: ``x`` is T x d_in, ``w`` d_in x d_out, ``b`` 1 x d_out."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (1, w.shape[1])):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+    res = x.data @ w.data
+    res += b.data
+
+    def bw(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                _reduce_to(g, b.shape) if b.requires_grad else None)
+
+    return _make(res, "linear", (x, w, b), bw)
 
 
 def transpose(x):
@@ -428,6 +499,75 @@ def mean(x, axis=None, keepdims=False):
 
 
 # ---------------------------------------------------------------------------
+# normalization
+
+def _normalize(op_name, x, axis, eps, gamma=None, beta=None):
+    """``(x - mean) / sqrt(var + eps)`` with the biased statistics of each
+    row (axis 1) or column (axis 0) of a 2-D ``x``, then ``gamma * . + beta``
+    with 1 x C ``gamma`` and ``beta`` when given.
+
+    Returns the output and the mean and variance arrays, shaped for
+    broadcasting against ``x``.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"{op_name}: expected 2-D, got {x.shape}")
+    scale = 1.0 / x.shape[axis]
+    mu = x.data.sum(axis=axis, keepdims=True) * scale
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=axis, keepdims=True) * scale
+    std = np.sqrt(var + eps)
+    xhat /= std
+    if gamma is None:
+        res, inputs = xhat, (x,)
+    else:
+        if gamma.shape != (1, x.shape[1]) or beta.shape != gamma.shape:
+            raise ShapeError(f"{op_name}: affine {gamma.shape}/{beta.shape} "
+                             f"does not fit {x.shape}")
+        res, inputs = gamma.data * xhat + beta.data, (x, gamma, beta)
+
+    def bw(g):
+        grads = [None] * len(inputs)
+        dy = g
+        if gamma is not None:
+            if gamma.requires_grad:
+                grads[1] = (g * xhat).sum(axis=0, keepdims=True)
+            if beta.requires_grad:
+                grads[2] = g.sum(axis=0, keepdims=True)
+            dy = g * gamma.data
+        if x.requires_grad:
+            # (dy - mean(dy) - xhat * mean(dy * xhat)) / std
+            proj = (dy * xhat).sum(axis=axis, keepdims=True) * scale
+            gx = xhat * proj
+            np.subtract(dy, gx, out=gx)
+            gx -= dy.sum(axis=axis, keepdims=True) * scale
+            gx /= std
+            grads[0] = gx
+        return tuple(grads)
+
+    return _make(res, op_name, inputs, bw), mu, var
+
+
+def layer_norm(x, gamma, beta, eps):
+    """Normalize each row of a T x C ``x`` over its channels, then apply the
+    1 x C affine ``gamma``, ``beta`` (Ba et al. 2016)."""
+    return _normalize("layer_norm", x, 1, eps, gamma, beta)[0]
+
+
+def instance_norm(x, eps):
+    """Normalize each channel of a T x C ``x`` over time; no affine."""
+    return _normalize("instance_norm", x, 0, eps)[0]
+
+
+def batchnorm(x, gamma, beta, eps):
+    """Train-mode batch norm over the time axis of a T x C ``x``.
+
+    Returns ``(output, mean, var)``; the 1 x C batch statistics feed the
+    caller's running averages.
+    """
+    return _normalize("batchnorm", x, 0, eps, gamma, beta)
+
+
+# ---------------------------------------------------------------------------
 # softmax / losses
 
 def softmax(x, axis=-1):
@@ -440,6 +580,65 @@ def softmax(x, axis=-1):
         return (res * (g - dot),)
 
     return _make(res, "softmax", (x,), bw)
+
+
+def _split_heads(a, n_heads):
+    t, d = a.shape
+    return a.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(a):
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def attention(q, k, v, n_heads, scale):
+    """Multi-head scaled dot-product attention ``softmax(q k^T * scale) v``.
+
+    ``q`` is Tq x d, ``k`` Tk x d and ``v`` Tk x dv; head h attends with
+    column block h of each (width d / n_heads and dv / n_heads), and the
+    head outputs sit side by side in the Tq x dv result.  Returns
+    ``(output, weights)``, where ``weights`` is the n_heads x Tq x Tk array
+    of attention rows.  The backward pass reuses that array as scratch, so a
+    caller that keeps the weights must copy them before ``backward``.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention: expected 2-D q, k, v, got {q.shape}, "
+                         f"{k.shape}, {v.shape}")
+    if k.shape[1] != q.shape[1] or v.shape[0] != k.shape[0]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         "do not fit")
+    if q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"attention: widths {q.shape[1]} and {v.shape[1]} "
+                         f"not divisible by {n_heads} heads")
+    qh = _split_heads(q.data, n_heads)
+    kh = _split_heads(k.data, n_heads)
+    vh = _split_heads(v.data, n_heads)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    p *= scale
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    oh = np.matmul(p, vh)
+    res = _merge_heads(oh)
+
+    def bw(g):
+        gh = _split_heads(g, n_heads)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = _merge_heads(np.matmul(p.transpose(0, 2, 1), gh))
+        if q.requires_grad or k.requires_grad:
+            # softmax backward: p * (dp - <dp, p>), where the row dot
+            # <dp, p> = <g, p v> = <g, out>; p becomes the score gradient
+            dp = np.matmul(gh, vh.transpose(0, 2, 1))
+            dp -= (gh * oh).sum(axis=2, keepdims=True)
+            np.multiply(p, dp, out=p)
+            if q.requires_grad:
+                gq = _merge_heads(np.matmul(p, kh)) * scale
+            if k.requires_grad:
+                gk = _merge_heads(np.matmul(p.transpose(0, 2, 1), qh)) * scale
+        return gq, gk, gv
+
+    return _make(res, "attention", (q, k, v), bw), p
 
 
 def cross_entropy(logits, labels):
@@ -534,14 +733,19 @@ def conv1d(x, w, b):
     res = col @ wm + b.data
 
     def bw(g):
-        gw_m = col.T @ g  # (C_in*k, C_out)
-        gw = gw_m.reshape(c_in, k, c_out).transpose(2, 0, 1)
-        gb = g.sum(axis=0)
-        gcol = (g @ wm.T).reshape(t_len, c_in, k)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[j:j + t_len] += gcol[:, :, j]
-        return gxp[pad:pad + t_len], gw, gb
+        gx = gw = gb = None
+        if w.requires_grad:
+            gw_m = col.T @ g  # (C_in*k, C_out)
+            gw = gw_m.reshape(c_in, k, c_out).transpose(2, 0, 1)
+        if b.requires_grad:
+            gb = g.sum(axis=0)
+        if x.requires_grad:
+            gcol = (g @ wm.T).reshape(t_len, c_in, k)
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[j:j + t_len] += gcol[:, :, j]
+            gx = gxp[pad:pad + t_len]
+        return gx, gw, gb
 
     return _make(res, "conv1d", (x, w, b), bw)
 
@@ -561,12 +765,19 @@ def depthwise_conv1d(x, w, b):
     res = res + b.data
 
     def bw(g):
-        gx = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for j in range(k):
-            gx[j:j + t_len] += g * w.data[:, j]
-            gw[:, j] = (g * xp[j:j + t_len]).sum(axis=0)
-        return gx[pad:pad + t_len], gw, g.sum(axis=0)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[j:j + t_len] += g * w.data[:, j]
+            gx = gxp[pad:pad + t_len]
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            for j in range(k):
+                gw[:, j] = (g * xp[j:j + t_len]).sum(axis=0)
+        if b.requires_grad:
+            gb = g.sum(axis=0)
+        return gx, gw, gb
 
     return _make(res, "depthwise_conv1d", (x, w, b), bw)
 
@@ -627,19 +838,6 @@ class AdamW:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
 
 
 def clip_global_norm(params, max_norm):

@@ -209,6 +209,18 @@ class TestResample:
         as_float = AudioBuffer(buf.samples, 48000.0)
         np.testing.assert_array_equal(resample(as_float, 16000).samples, expected)
 
+    @pytest.mark.parametrize("sr", [48000, 16000, 16000.0])
+    def test_float_target_rate_writes_wav(self, sr, rng, tmp_path):
+        # resample, the identity and the empty-output paths all return the
+        # rate as a whole number, which the WAV header needs
+        for n in (4800, 0):
+            out = resample(AudioBuffer(rng.uniform(-0.5, 0.5, n), sr), 16000.0)
+            assert out.sample_rate == 16000 and isinstance(out.sample_rate, int)
+            write_wav(tmp_path / "out.wav", out)
+            back = read_wav(tmp_path / "out.wav")
+            assert back.sample_rate == 16000
+            assert len(back.samples) == len(out.samples)
+
     @pytest.mark.parametrize("target", [16000.5, 0, -16000])
     def test_invalid_target_rate(self, target):
         with pytest.raises(DspError, match="invalid sample rate"):

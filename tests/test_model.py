@@ -99,6 +99,30 @@ class TestSelfAttentionPool:
                                        atol=1e-6)
 
 
+class TestBatchnorm:
+    def test_train_mode_updates_running_stats(self, rng):
+        params, buffers = {}, {}
+        nn.init_batchnorm(params, buffers, "bn", 4)
+        buffers["bn.running_mean"].data[...] = 0.5
+        buffers["bn.running_var"].data[...] = 2.0
+        x = (rng.normal(size=(10, 4)) * 3.0 + 1.0).astype(np.float32)
+        out = nn.batchnorm(params, buffers, "bn", Tensor(x), train=True).data
+        np.testing.assert_allclose(out, (x - x.mean(0)) / np.sqrt(x.var(0) + nn.BN_EPS),
+                                   atol=1e-5)
+        rm = buffers["bn.running_mean"].data.copy()
+        rv = buffers["bn.running_var"].data.copy()
+        m = nn.BN_MOMENTUM
+        np.testing.assert_allclose(rm, (1 - m) * 0.5 + m * x.mean(0, keepdims=True),
+                                   rtol=1e-5)
+        np.testing.assert_allclose(rv, (1 - m) * 2.0 + m * x.var(0, keepdims=True),
+                                   rtol=1e-5)
+        # eval mode normalizes with the running stats and leaves them alone
+        out = nn.batchnorm(params, buffers, "bn", Tensor(x), train=False).data
+        np.testing.assert_allclose(out, (x - rm) / np.sqrt(rv + nn.BN_EPS), atol=1e-5)
+        np.testing.assert_array_equal(buffers["bn.running_mean"].data, rm)
+        np.testing.assert_array_equal(buffers["bn.running_var"].data, rv)
+
+
 class TestInstanceNorm:
     def test_constant_channel_zeros(self):
         x = Tensor(np.full((4, 3), 2.5, dtype=np.float32))
@@ -222,7 +246,25 @@ class TestDecoder:
         gradcheck(f, inputs, rtol=1e-3)
 
 
+class CountingTape(GradTape):
+    def __init__(self):
+        super().__init__()
+        self.n_ops = 0
+
+    def record(self, output, inputs, backward_fn):
+        self.n_ops += 1
+        super().record(output, inputs, backward_fn)
+
+
 class TestForward:
+    def test_train_forward_tape_op_count(self, tiny_model, rng):
+        # each layer is one fused op: the composite layers recorded 493 ops
+        # here, the fused ones 117
+        with CountingTape() as tape:
+            tiny_model.forward(mel_seq(rng, 30), [mel_seq(rng, 20)], train=True,
+                               rng=np.random.default_rng(0))
+        assert tape.n_ops <= 130
+
     def test_train_mode_shapes(self, tiny_model, rng):
         src = mel_seq(rng, 12, spk="s1")
         mel, trace = tiny_model.forward(src, [src], train=True,

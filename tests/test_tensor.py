@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,3 +292,194 @@ class TestShaping:
         logits = rng.normal(size=(4, 3))
         labels = np.array([0, 2, 1, 1])
         gradcheck(lambda ts: T.cross_entropy(ts[0], labels), [logits])
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the composite chains they replaced
+
+def _composite_linear(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def _composite_layer_norm(x, gamma, beta, eps):
+    # per-row stats == per-column stats of the transpose
+    xt = T.transpose(x)
+    mu = T.mean(xt, axis=0, keepdims=True)
+    centered = xt - mu
+    var = T.mean(centered * centered, axis=0, keepdims=True)
+    y = T.transpose(centered / T.sqrt(var + eps))
+    return gamma * y + beta
+
+
+def _composite_instance_norm(x, eps):
+    mu = T.mean(x, axis=0, keepdims=True)
+    centered = x - mu
+    var = T.mean(centered * centered, axis=0, keepdims=True)
+    return centered / T.sqrt(var + eps)
+
+
+def _composite_batchnorm(x, gamma, beta, eps):
+    return gamma * _composite_instance_norm(x, eps) + beta
+
+
+def _composite_swish(x):
+    return x * T.sigmoid(x)
+
+
+def _composite_glu(x):
+    half = x.shape[1] // 2
+    return T.cols(x, 0, half) * T.sigmoid(T.cols(x, half, 2 * half))
+
+
+def _composite_attention(q, k, v, n_heads, scale):
+    dh, dvh = q.shape[1] // n_heads, v.shape[1] // n_heads
+    heads, weights = [], []
+    for h in range(n_heads):
+        qh = T.cols(q, h * dh, (h + 1) * dh)
+        kh = T.cols(k, h * dh, (h + 1) * dh)
+        vh = T.cols(v, h * dvh, (h + 1) * dvh)
+        attn = T.softmax(T.matmul(qh, T.transpose(kh)) * scale, axis=1)
+        weights.append(attn.data)
+        heads.append(T.matmul(attn, vh))
+    return T.concat_cols(heads), np.stack(weights)
+
+
+EPS = 1e-5
+
+# name -> (fused op, composite oracle, input shapes); each maps a list of
+# tensors to one output tensor
+FUSED = {
+    "linear": (lambda ts: T.linear(*ts), lambda ts: _composite_linear(*ts),
+               [(5, 3), (3, 4), (1, 4)]),
+    "layer_norm": (lambda ts: T.layer_norm(*ts, EPS),
+                   lambda ts: _composite_layer_norm(*ts, EPS),
+                   [(5, 6), (1, 6), (1, 6)]),
+    "instance_norm": (lambda ts: T.instance_norm(ts[0], EPS),
+                      lambda ts: _composite_instance_norm(ts[0], EPS), [(7, 3)]),
+    "batchnorm": (lambda ts: T.batchnorm(*ts, EPS)[0],
+                  lambda ts: _composite_batchnorm(*ts, EPS),
+                  [(7, 3), (1, 3), (1, 3)]),
+    "swish": (lambda ts: T.swish(ts[0]), lambda ts: _composite_swish(ts[0]),
+              [(4, 5)]),
+    # an odd width: the last column is ignored
+    "glu": (lambda ts: T.glu(ts[0]), lambda ts: _composite_glu(ts[0]), [(4, 7)]),
+    "attention_1head": (lambda ts: T.attention(*ts, 1, 0.5)[0],
+                        lambda ts: _composite_attention(*ts, 1, 0.5)[0],
+                        [(3, 4), (5, 4), (5, 6)]),
+    "attention_2heads": (lambda ts: T.attention(*ts, 2, 0.7)[0],
+                         lambda ts: _composite_attention(*ts, 2, 0.7)[0],
+                         [(3, 4), (5, 4), (5, 6)]),
+}
+
+
+def _inputs(name, rng):
+    return [rng.normal(size=shape) for shape in FUSED[name][2]]
+
+
+def _weighted_sum(out):
+    # a random upstream gradient exercises every output element differently
+    upstream = np.random.default_rng(1).normal(size=out.shape)
+    return T.sum_(out * Tensor(upstream, dtype=np.float64))
+
+
+def _forward_and_grads(fn, arrays):
+    ts = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    with GradTape() as tape:
+        out = fn(ts)
+        tape.backward(_weighted_sum(out))
+    return out.data, [t.grad for t in ts]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_gradcheck(self, name, rng):
+        fused = FUSED[name][0]
+        gradcheck(lambda ts: _weighted_sum(fused(ts)), _inputs(name, rng))
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_matches_composite_oracle(self, name, rng):
+        fused, composite, _ = FUSED[name]
+        arrays = _inputs(name, rng)
+        out, grads = _forward_and_grads(fused, arrays)
+        ref_out, ref_grads = _forward_and_grads(composite, arrays)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_float32_stays_float32(self, name, rng):
+        ts = [Tensor(a) for a in _inputs(name, rng)]
+        assert FUSED[name][0](ts).data.dtype == np.float32
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_non_finite_input_raises(self, name, rng):
+        ts = [Tensor(a, requires_grad=True) for a in _inputs(name, rng)]
+        ts[0].data[0, 0] = np.nan  # Tensor() itself refuses non-finite data
+        with GradTape():
+            with pytest.raises(NumericError, match=name.split("_")[0]):
+                FUSED[name][0](ts)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_attention_weights_are_the_oracle_rows(self, n_heads, rng):
+        q, k, v = (Tensor(a) for a in _inputs("attention_1head", rng))
+        _, weights = T.attention(q, k, v, n_heads, 0.5)
+        _, ref = _composite_attention(q, k, v, n_heads, 0.5)
+        assert weights.shape == (n_heads, 3, 5)
+        np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-6)
+        np.testing.assert_allclose(weights, ref, atol=1e-6)
+
+    def test_attention_heads_indivisible(self):
+        x = Tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match="not divisible by 4 heads"):
+            T.attention(x, x, x, 4, 1.0)
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                     Tensor(np.zeros((1, 3))))
+
+    def test_batchnorm_returns_batch_statistics(self, rng):
+        x = rng.normal(size=(9, 4)) * 2.0 + 1.0
+        ts = [Tensor(a) for a in (x, np.ones((1, 4)), np.zeros((1, 4)))]
+        out, mu, var = T.batchnorm(*ts, EPS)
+        np.testing.assert_allclose(mu, x.mean(axis=0, keepdims=True), rtol=1e-5)
+        np.testing.assert_allclose(var, x.var(axis=0, keepdims=True), rtol=1e-5)
+        np.testing.assert_allclose(out.data, (x - x.mean(0)) / np.sqrt(x.var(0) + EPS),
+                                   atol=1e-5)
+
+
+def _closure_grads(op, arrays, needs):
+    """Run ``op`` once under a tape and call its backward closure directly,
+    so a gradient left uncomputed shows as None."""
+    ts = [Tensor(a, requires_grad=n, dtype=np.float64) for a, n in zip(arrays, needs)]
+    tape = GradTape()
+    with tape:
+        out = op(ts)
+    (_, _, backward_fn), = tape._ops
+    return backward_fn(np.random.default_rng(2).normal(size=out.shape))
+
+
+# ops whose backward skips the gradients of constant inputs
+SKIPPING = {
+    "matmul": (lambda ts: T.matmul(*ts), [(3, 4), (4, 2)]),
+    "conv1d": (lambda ts: T.conv1d(*ts), [(6, 2), (3, 2, 3), (3,)]),
+    "depthwise_conv1d": (lambda ts: T.depthwise_conv1d(*ts), [(6, 3), (3, 5), (3,)]),
+    **{name: (fused, shapes) for name, (fused, _, shapes) in FUSED.items()},
+}
+
+
+class TestConstantInputsGetNoGradient:
+    @pytest.mark.parametrize("name", sorted(SKIPPING))
+    def test_needed_gradients_unchanged(self, name, rng):
+        op, shapes = SKIPPING[name]
+        arrays = [rng.normal(size=s) for s in shapes]
+        full = _closure_grads(op, arrays, [True] * len(arrays))
+        for needs in itertools.product([False, True], repeat=len(arrays)):
+            if not any(needs):
+                continue
+            grads = _closure_grads(op, arrays, needs)
+            for need, g, ref in zip(needs, grads, full):
+                if need:
+                    np.testing.assert_array_equal(g, ref)
+                else:
+                    assert g is None
