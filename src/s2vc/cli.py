@@ -5,6 +5,9 @@ layered: built-in defaults < config file < command-line flags.  The resolved
 snapshot is embedded in every checkpoint and report the run produces.
 
 Exit codes: 0 success, 1 runtime/evaluation failure, 2 usage or config error.
+
+The model, training and evaluation modules are imported by the commands that
+use them, so ``feats`` never loads the tensor library.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ from pathlib import Path
 
 import click
 
-from . import dsp, evaluate, features, model as model_mod, training
+from . import dsp, features
 from .dsp import MelConfig
 from .features import Manifest, ManifestEntry
-from .model import ModelConfig
-from .training import TrainConfig
 
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -69,6 +70,9 @@ def load_config_file(path):
 
 def resolve_train_config(config_file=None, overrides=None):
     """defaults < config file < flag overrides."""
+    from .model import ModelConfig
+    from .training import TrainConfig
+
     values = {}
     if config_file:
         values.update(load_config_file(config_file))
@@ -93,9 +97,6 @@ def _global_seed(seed):
         return int(seed)
     env = os.environ.get("S2VC_SEED")
     return int(env) if env else 0
-
-
-ABLATION_NAMES = {name: overrides for _, name, overrides in training.ABLATION_ROWS}
 
 
 @click.group()
@@ -168,6 +169,8 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
 def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
               target_kind, ablation, resume, show_config):
     """Train a model by self-reconstruction."""
+    from . import training
+
     overrides = {
         "train.manifest": manifest,
         "train.out_dir": out_dir,
@@ -179,10 +182,12 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
     try:
         cfg = resolve_train_config(config_file, overrides)
         if ablation:
-            flags = ABLATION_NAMES.get(ablation.replace("-", "_"))
+            ablation_names = {name: overrides
+                              for _, name, overrides in training.ABLATION_ROWS}
+            flags = ablation_names.get(ablation.replace("-", "_"))
             if flags is None:
                 raise ConfigError(f"unknown ablation {ablation!r}; options: "
-                                  + ", ".join(sorted(ABLATION_NAMES)))
+                                  + ", ".join(sorted(ablation_names)))
             cfg = replace(cfg, model=replace(cfg.model, **flags))
     except (ConfigError, FileNotFoundError) as e:
         _fail(str(e), EXIT_USAGE)
@@ -213,6 +218,8 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
     Five target feature files are the standard protocol; fewer are accepted
     with a warning.
     """
+    from . import evaluate, model as model_mod
+
     if not targets:
         _fail("at least one target feature file required", EXIT_USAGE)
     if len(targets) < 5:
@@ -242,6 +249,8 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
 @click.option("--out-dir", default="eval_out", show_default=True)
 def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
     """Objective evaluation: SV accuracy plus a reconstruction-error proxy."""
+    from . import evaluate, model as model_mod
+
     if not Path(manifest_path).exists():
         _fail(f"manifest not found: {manifest_path}", EXIT_USAGE)
     try:
@@ -264,6 +273,8 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
 @click.option("--out", "out_json", default=None)
 def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
     """Linear speaker-information probe on an attention site."""
+    from . import evaluate, model as model_mod
+
     if not Path(manifest_path).exists():
         _fail(f"manifest not found: {manifest_path}", EXIT_USAGE)
     try:
@@ -292,6 +303,8 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
 
     Completed runs (an existing report.json) are skipped on rerun.
     """
+    from . import evaluate, model as model_mod, training
+
     seed = _global_seed(seed)
     overrides = {"train.manifest": manifest, "train.out_dir": out_dir,
                  "train.max_steps": max_steps, "train.seed": seed}

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AudioBuffer",
@@ -284,27 +285,34 @@ def stft(samples, cfg):
     Returns a complex T x (n_fft//2 + 1) matrix.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    t_len = _frame_count(len(samples), cfg)
+    _frame_count(len(samples), cfg)  # rejects a signal shorter than one window
     window = np.hanning(cfg.win_length)
-    frames = np.zeros((t_len, cfg.n_fft), dtype=np.float64)
-    for t in range(t_len):
-        start = t * cfg.hop_length
-        frames[t, :cfg.win_length] = samples[start:start + cfg.win_length] * window
+    frames = sliding_window_view(samples, cfg.win_length)[::cfg.hop_length] * window
     return np.fft.rfft(frames, n=cfg.n_fft, axis=1)
 
 
 def istft(spec, cfg, n_samples=None):
-    """Weighted overlap-add inverse of ``stft`` (squared-window normalization)."""
+    """Weighted overlap-add inverse of ``stft`` (squared-window normalization).
+
+    The output is built in hop-sized blocks: chunk ``c`` of every frame is
+    added onto the block ``c`` hops after the frame's first.  Taking the
+    chunks in descending order adds each sample's frames in ascending frame
+    order, the order of a frame-by-frame loop, so the sums are bit-for-bit
+    the same.
+    """
     t_len = spec.shape[0]
-    window = np.hanning(cfg.win_length)
-    total = (t_len - 1) * cfg.hop_length + cfg.win_length
-    out = np.zeros(total, dtype=np.float64)
-    norm = np.zeros(total, dtype=np.float64)
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)[:, :cfg.win_length]
-    for t in range(t_len):
-        start = t * cfg.hop_length
-        out[start:start + cfg.win_length] += frames[t] * window
-        norm[start:start + cfg.win_length] += window * window
+    hop, win = cfg.hop_length, cfg.win_length
+    window = np.hanning(win)
+    total = (t_len - 1) * hop + win
+    n_chunks = -(-win // hop)
+    out = np.zeros((t_len + n_chunks - 1, hop), dtype=np.float64)
+    norm = np.zeros_like(out)
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)[:, :win]
+    for c in reversed(range(n_chunks)):
+        lo, hi = c * hop, min((c + 1) * hop, win)
+        out[c:c + t_len, :hi - lo] += frames[:, lo:hi] * window[lo:hi]
+        norm[c:c + t_len, :hi - lo] += window[lo:hi] * window[lo:hi]
+    out, norm = out.reshape(-1)[:total], norm.reshape(-1)[:total]
     out = np.where(norm > 1e-10, out / np.maximum(norm, 1e-10), 0.0)
     if n_samples is not None:
         out = out[:n_samples]

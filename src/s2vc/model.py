@@ -12,6 +12,7 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, asdict, field, replace
@@ -123,7 +124,23 @@ class S2VCModel:
         self.buffers = {}
         self._build(np.random.default_rng(seed))
 
+    @classmethod
+    def from_state_arrays(cls, config, arrays):
+        """The model whose parameters and buffers are ``arrays`` themselves.
+
+        The skeleton that names the expected tensors is shape-only: it draws
+        no random numbers and writes no parameter memory.
+        """
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {}
+        model.buffers = {}
+        model._build(None)
+        model.load_state_arrays(arrays)
+        return model
+
     def _build(self, rng):
+        """Create every tensor, drawn from ``rng``; shape-only if it is None."""
         cfg = self.config
         d = cfg.d_model
         src_dim = cfg.resolved_source_dim()
@@ -132,7 +149,8 @@ class S2VCModel:
         for i in range(cfg.n_source_layers):
             d_in = src_dim if i == 0 else d
             nn.init_linear(self.params, f"src.{i}", d_in, d, rng)
-            nn.init_batchnorm(self.params, self.buffers, f"src.{i}.bn", d)
+            nn.init_batchnorm(self.params, self.buffers, f"src.{i}.bn", d,
+                              shape_only=rng is None)
 
         for i in range(cfg.n_target_conv):
             c_in = tgt_dim if i == 0 else d
@@ -277,19 +295,22 @@ class S2VCModel:
         return out
 
     def load_state_arrays(self, arrays):
-        for k, p in self.params.items():
-            key = f"param.{k}"
-            if key not in arrays:
-                raise CheckpointError(f"checkpoint missing parameter {k!r}")
-            if arrays[key].shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {k!r}: {arrays[key].shape} vs {p.data.shape}")
-            p.data[...] = arrays[key]
-        for k, b in self.buffers.items():
-            key = f"buffer.{k}"
-            if key not in arrays:
-                raise CheckpointError(f"checkpoint missing buffer {k!r}")
-            b.data[...] = arrays[key]
+        """Take over the float32 ``param.*`` and ``buffer.*`` arrays, uncopied.
+
+        Every parameter and buffer must be present with its exact shape;
+        other arrays are ignored.  The arrays become the model's storage, so
+        the caller must not keep using them.
+        """
+        for prefix, kind, tensors in (("param", "parameter", self.params),
+                                      ("buffer", "buffer", self.buffers)):
+            for k, t in tensors.items():
+                arr = arrays.get(f"{prefix}.{k}")
+                if arr is None:
+                    raise CheckpointError(f"checkpoint missing {kind} {k!r}")
+                if arr.shape != t.data.shape:
+                    raise CheckpointError(
+                        f"shape mismatch for {kind} {k!r}: {arr.shape} vs {t.data.shape}")
+                t.data = arr
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +333,47 @@ def _pack_blob_file(magic, meta, arrays):
 
 
 def _unpack_blob_file(raw, magic, path):
-    if len(raw) < 8 or raw[:4] != magic:
+    """Parse a container read whole into ``raw``.
+
+    The CRC and the header fields are read through a memoryview of ``raw``;
+    each array is copied once, into its own aligned, writable float32 array.
+    """
+    view = memoryview(raw)
+    if len(view) < 8 or view[:4] != magic:
         raise CheckpointError(f"{path}: bad magic")
-    payload, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
+    payload = view[:-4]
+    (crc,) = struct.unpack_from("<I", view, len(payload))
     if zlib.crc32(payload) != crc:
         raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
-    version, meta_len = struct.unpack_from("<HI", raw, 4)
+    pos = 4
+
+    def take(n):
+        nonlocal pos
+        if n > len(payload) - pos:
+            raise CheckpointError(f"{path}: malformed container, a field runs "
+                                  f"past the payload at byte {pos}")
+        pos += n
+        return payload[pos - n:pos]
+
+    version, meta_len = struct.unpack("<HI", take(6))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    pos = 10
-    meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    arrays = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(raw[pos:pos + 4 * size], dtype="<f4").reshape(shape).copy()
-        pos += 4 * size
+    try:
+        meta = json.loads(str(take(meta_len), "utf-8"))
+        (count,) = struct.unpack("<I", take(4))
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2))
+            name = str(take(nlen), "utf-8")
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            data = take(4 * math.prod(shape))
+            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: malformed container: {e}") from e
+    if pos != len(payload):
+        raise CheckpointError(f"{path}: malformed container, {len(payload) - pos} "
+                              "bytes after the last array")
     return meta, arrays
 
 
@@ -360,7 +396,11 @@ def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
     with open(path, "rb") as fh:
         raw = fh.read()
     meta, arrays = _unpack_blob_file(raw, CHECKPOINT_MAGIC, path)
-    config = ModelConfig.from_dict(meta["model_config"])
+    try:
+        config = ModelConfig.from_dict(meta["model_config"])
+        mel_cfg = MelConfig.from_dict(meta["mel_config"])
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
     if expect_source_kind and config.source_feature_kind != expect_source_kind:
         raise CheckpointError(
             f"source feature kind mismatch: checkpoint has "
@@ -369,9 +409,7 @@ def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
         raise CheckpointError(
             f"target feature kind mismatch: checkpoint has "
             f"{config.target_feature_kind!r}, requested {expect_target_kind!r}")
-    model = S2VCModel(config, seed=0)
-    model.load_state_arrays(arrays)
-    mel_cfg = MelConfig.from_dict(meta["mel_config"])
+    model = S2VCModel.from_state_arrays(config, arrays)
     extra_arrays = {k[len("extra."):]: v for k, v in arrays.items()
                     if k.startswith("extra.")}
     return model, mel_cfg, meta.get("extra", {}), extra_arrays

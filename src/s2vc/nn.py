@@ -4,6 +4,11 @@ Parameters live in a flat ``{name: Tensor}`` dict owned by the model;
 the functions here just consume slices of that dict.  Running batch-norm
 statistics are plain float32 Tensors kept in a separate buffer dict and are
 never recorded on the tape.
+
+The ``init_*`` helpers create a layer's tensors.  Given ``rng`` None (or
+``shape_only=True`` for the layers that draw nothing), they make a shape-only
+skeleton: float32 storage that is neither drawn, written nor scanned, for a
+checkpoint load to replace with its own arrays.
 """
 
 from __future__ import annotations
@@ -19,22 +24,37 @@ IN_EPS = 1e-5
 LN_EPS = 1e-5
 
 
+def _unset(shape, requires_grad):
+    return Tensor._wrap(np.empty(shape, dtype=np.float32), requires_grad)
+
+
+def _uniform(rng, scale, shape):
+    if rng is None:
+        return _unset(shape, True)
+    return Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+
+
+def _filled(value, shape, shape_only, requires_grad=True):
+    if shape_only:
+        return _unset(shape, requires_grad)
+    return Tensor(np.full(shape, value), requires_grad=requires_grad)
+
+
 def init_linear(params, name, d_in, d_out, rng):
     scale = float(np.sqrt(6.0 / (d_in + d_out)))
-    params[f"{name}.w"] = Tensor(rng.uniform(-scale, scale, (d_in, d_out)),
-                                 requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros((1, d_out)), requires_grad=True)
+    params[f"{name}.w"] = _uniform(rng, scale, (d_in, d_out))
+    params[f"{name}.b"] = _filled(0.0, (1, d_out), rng is None)
 
 
 def linear(params, name, x):
     return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def init_batchnorm(params, buffers, name, dim):
-    params[f"{name}.gamma"] = Tensor(np.ones((1, dim)), requires_grad=True)
-    params[f"{name}.beta"] = Tensor(np.zeros((1, dim)), requires_grad=True)
-    buffers[f"{name}.running_mean"] = Tensor(np.zeros((1, dim)))
-    buffers[f"{name}.running_var"] = Tensor(np.ones((1, dim)))
+def init_batchnorm(params, buffers, name, dim, shape_only=False):
+    params[f"{name}.gamma"] = _filled(1.0, (1, dim), shape_only)
+    params[f"{name}.beta"] = _filled(0.0, (1, dim), shape_only)
+    buffers[f"{name}.running_mean"] = _filled(0.0, (1, dim), shape_only, False)
+    buffers[f"{name}.running_var"] = _filled(1.0, (1, dim), shape_only, False)
 
 
 def batchnorm(params, buffers, name, x, train):
@@ -56,9 +76,9 @@ def instance_norm(x, eps=IN_EPS):
     return T.instance_norm(x, eps)
 
 
-def init_layernorm(params, name, dim):
-    params[f"{name}.gamma"] = Tensor(np.ones((1, dim)), requires_grad=True)
-    params[f"{name}.beta"] = Tensor(np.zeros((1, dim)), requires_grad=True)
+def init_layernorm(params, name, dim, shape_only=False):
+    params[f"{name}.gamma"] = _filled(1.0, (1, dim), shape_only)
+    params[f"{name}.beta"] = _filled(0.0, (1, dim), shape_only)
 
 
 def layer_norm(params, name, x):
@@ -67,9 +87,8 @@ def layer_norm(params, name, x):
 
 def init_conv1d(params, name, c_in, c_out, kernel, rng):
     scale = float(np.sqrt(6.0 / (c_in * kernel + c_out)))
-    params[f"{name}.w"] = Tensor(rng.uniform(-scale, scale, (c_out, c_in, kernel)),
-                                 requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True)
+    params[f"{name}.w"] = _uniform(rng, scale, (c_out, c_in, kernel))
+    params[f"{name}.b"] = _filled(0.0, c_out, rng is None)
 
 
 def conv1d(params, name, x):
@@ -96,23 +115,23 @@ def multi_head_self_attention(params, name, x, n_heads):
 
 def init_conformer_block(params, buffers, name, cfg, rng):
     d = cfg.d_model
-    init_layernorm(params, f"{name}.ff1.ln", d)
+    shape_only = rng is None
+    init_layernorm(params, f"{name}.ff1.ln", d, shape_only)
     init_linear(params, f"{name}.ff1.in", d, cfg.conformer_ff_dim, rng)
     init_linear(params, f"{name}.ff1.out", cfg.conformer_ff_dim, d, rng)
-    init_layernorm(params, f"{name}.attn.ln", d)
+    init_layernorm(params, f"{name}.attn.ln", d, shape_only)
     init_mhsa(params, f"{name}.attn", d, rng)
-    init_layernorm(params, f"{name}.conv.ln", d)
+    init_layernorm(params, f"{name}.conv.ln", d, shape_only)
     init_linear(params, f"{name}.conv.pw1", d, 2 * d, rng)
     scale = float(np.sqrt(3.0 / cfg.conformer_conv_kernel))
-    params[f"{name}.conv.dw.w"] = Tensor(
-        rng.uniform(-scale, scale, (d, cfg.conformer_conv_kernel)), requires_grad=True)
-    params[f"{name}.conv.dw.b"] = Tensor(np.zeros(d), requires_grad=True)
-    init_batchnorm(params, buffers, f"{name}.conv.bn", d)
+    params[f"{name}.conv.dw.w"] = _uniform(rng, scale, (d, cfg.conformer_conv_kernel))
+    params[f"{name}.conv.dw.b"] = _filled(0.0, d, shape_only)
+    init_batchnorm(params, buffers, f"{name}.conv.bn", d, shape_only)
     init_linear(params, f"{name}.conv.pw2", d, d, rng)
-    init_layernorm(params, f"{name}.ff2.ln", d)
+    init_layernorm(params, f"{name}.ff2.ln", d, shape_only)
     init_linear(params, f"{name}.ff2.in", d, cfg.conformer_ff_dim, rng)
     init_linear(params, f"{name}.ff2.out", cfg.conformer_ff_dim, d, rng)
-    init_layernorm(params, f"{name}.final.ln", d)
+    init_layernorm(params, f"{name}.final.ln", d, shape_only)
 
 
 def _ff(params, name, x, train, drop_rate, rng):
@@ -142,8 +161,7 @@ def conformer_block(params, buffers, name, x, cfg, train=False, rng=None):
 
 def init_sap(params, name, d_model, rng):
     scale = float(np.sqrt(3.0 / d_model))
-    params[f"{name}.w"] = Tensor(rng.uniform(-scale, scale, (d_model, 1)),
-                                 requires_grad=True)
+    params[f"{name}.w"] = _uniform(rng, scale, (d_model, 1))
 
 
 def self_attention_pool(params, name, h):

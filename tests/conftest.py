@@ -1,4 +1,6 @@
 import errno
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -65,6 +67,20 @@ class _HalfWrittenFile:
 def open_half_written(path, mode, *args, **kwargs):
     """Stand-in for ``open`` whose files fail halfway through a write."""
     return _HalfWrittenFile(open(path, mode, *args, **kwargs))
+
+
+def malform_container(path, how):
+    """Rewrite the CRC-guarded container at ``path`` with a valid CRC over a
+    body its parser must reject: ``"overrun"`` declares one array more than
+    the payload holds, ``"trailing"`` leaves bytes after the last array."""
+    payload = bytearray(path.read_bytes()[:-4])
+    if how == "overrun":
+        (meta_len,) = struct.unpack_from("<I", payload, 6)
+        (count,) = struct.unpack_from("<I", payload, 10 + meta_len)
+        struct.pack_into("<I", payload, 10 + meta_len, count + 1)
+    else:
+        payload += b"\0\0\0"
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
 
 
 @pytest.fixture

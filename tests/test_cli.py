@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
 from s2vc.features import Manifest, extract_mel, load_feature_file, write_feature_file
 from s2vc.model import S2VCModel, read_trace, save_checkpoint
+from conftest import malform_container
 from test_dsp import _reference_resample
 from toycorpus import tiny_model_config
 
@@ -47,6 +51,20 @@ def write_tiny_config(path):
         "conformer_ff_dim = 64\n"
         "conformer_conv_kernel = 7\n")
     return path
+
+
+def test_import_leaves_model_modules_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, s2vc.cli; print(json.dumps(list(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert "s2vc.cli" in loaded
+    for heavy in ("s2vc.model", "s2vc.tensor", "s2vc.training", "s2vc.evaluate"):
+        assert heavy not in loaded
 
 
 class TestConfigFile:
@@ -243,6 +261,20 @@ class TestConvert:
                                    "--out", str(tmp_path / "o.wav")])
         assert res.exit_code == 1
         assert "kind mismatch" in res.stderr
+
+    def test_malformed_checkpoint_runtime_error(self, runner, corpus_manifest,
+                                                tiny_checkpoint, tmp_path):
+        ckpt = tmp_path / "model.s2vc"
+        ckpt.write_bytes(tiny_checkpoint.read_bytes())
+        malform_container(ckpt, "overrun")
+        man = Manifest.load(corpus_manifest)
+        by_spk = man.speakers()
+        res = runner.invoke(main, ["convert", str(ckpt),
+                                   by_spk["spkA"][0].features["mel"],
+                                   *[e.features["mel"] for e in by_spk["spkB"][:5]],
+                                   "--out", str(tmp_path / "o.wav")])
+        assert res.exit_code == 1
+        assert "error:" in res.stderr and "past the payload" in res.stderr
 
 
 class TestEval:

@@ -49,6 +49,36 @@ def _reference_resample(buf, target_rate):
     return AudioBuffer(out, target_rate)
 
 
+def _reference_stft(samples, cfg):
+    """The frame-by-frame loop that ``stft``'s strided framing replaces."""
+    samples = np.asarray(samples, dtype=np.float64)
+    t_len = 1 + (len(samples) - cfg.win_length) // cfg.hop_length
+    window = np.hanning(cfg.win_length)
+    frames = np.zeros((t_len, cfg.n_fft), dtype=np.float64)
+    for t in range(t_len):
+        start = t * cfg.hop_length
+        frames[t, :cfg.win_length] = samples[start:start + cfg.win_length] * window
+    return np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+
+
+def _reference_istft(spec, cfg, n_samples=None):
+    """The frame-by-frame overlap-add that ``istft``'s hop blocks replace."""
+    t_len = spec.shape[0]
+    window = np.hanning(cfg.win_length)
+    total = (t_len - 1) * cfg.hop_length + cfg.win_length
+    out = np.zeros(total, dtype=np.float64)
+    norm = np.zeros(total, dtype=np.float64)
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)[:, :cfg.win_length]
+    for t in range(t_len):
+        start = t * cfg.hop_length
+        out[start:start + cfg.win_length] += frames[t] * window
+        norm[start:start + cfg.win_length] += window * window
+    out = np.where(norm > 1e-10, out / np.maximum(norm, 1e-10), 0.0)
+    if n_samples is not None:
+        out = out[:n_samples]
+    return out
+
+
 def noise(rng, duration, sr):
     return AudioBuffer(rng.uniform(-0.9, 0.9, int(round(duration * sr))), sr)
 
@@ -288,6 +318,33 @@ class TestStftRoundTrip:
         # istft output stops at the last complete frame
         hi = min(hi, (len(x) - cfg.win_length) // cfg.hop_length * cfg.hop_length)
         assert np.abs(rec[lo:hi] - x[lo:hi]).max() < 1e-5
+
+
+class TestStftMatchesReference:
+    # win not a multiple of hop, a multiple of it, and equal to it
+    CONFIGS = {"default": MelConfig(),
+               "win4hop": MelConfig(win_length=400, hop_length=100),
+               "win1hop": MelConfig(n_fft=256, win_length=256, hop_length=256)}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("extra", [0, 1, 159, 160, 161, 1234, 16000])
+    def test_bit_identical(self, name, extra, rng):
+        cfg = self.CONFIGS[name]
+        x = rng.uniform(-1, 1, cfg.win_length + extra)  # extra 0: one frame
+        spec = stft(x, cfg)
+        np.testing.assert_array_equal(spec, _reference_stft(x, cfg))
+        for n in (None, len(x) - 7):
+            np.testing.assert_array_equal(istft(spec, cfg, n),
+                                          _reference_istft(spec, cfg, n))
+
+    def test_griffin_lim_bit_identical(self, rng, monkeypatch):
+        spec = log_mel(noise(rng, 0.3, 16000), MelConfig())
+        fast = griffin_lim(spec, n_iter=5)
+        monkeypatch.setattr(dsp, "stft", _reference_stft)
+        monkeypatch.setattr(dsp, "istft", _reference_istft)
+        slow = griffin_lim(spec, n_iter=5)
+        np.testing.assert_array_equal(fast.samples, slow.samples)
+        assert fast.residuals == slow.residuals
 
 
 class TestGriffinLim:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from s2vc import dsp
+from s2vc import model as model_mod
 from s2vc import nn
 from s2vc import tensor as T
 from s2vc.features import FeatureSequence, resolve_kind
@@ -20,7 +21,7 @@ from s2vc.model import (
 )
 from s2vc.tensor import GradTape, Tensor
 
-from conftest import gradcheck, open_half_written
+from conftest import gradcheck, malform_container, open_half_written
 from toycorpus import tiny_model_config
 
 
@@ -356,6 +357,81 @@ class TestCheckpoint:
         save_checkpoint(tiny_model, p1)
         save_checkpoint(tiny_model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestLoadPath:
+    @pytest.fixture
+    def loaded(self, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        save_checkpoint(tiny_model, path,
+                        extra_arrays={"adam_m": np.ones((3, 2), np.float32)})
+        return load_checkpoint(path)
+
+    def test_arrays_are_own_aligned_writable_float32(self, loaded):
+        model, _, _, extra_arrays = loaded
+        for name, arr in [*model.state_arrays().items(), *extra_arrays.items()]:
+            assert arr.dtype == np.float32, name
+            assert arr.flags.c_contiguous and arr.flags.aligned, name
+            assert arr.flags.writeable and arr.flags.owndata, name
+
+    def test_no_two_arrays_share_memory(self, loaded):
+        model, _, _, extra_arrays = loaded
+        arrays = [*model.state_arrays().values(), *extra_arrays.values()]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_draws_no_random_numbers(self, tiny_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.s2vc"
+        save_checkpoint(tiny_model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(model_mod.np.random, "default_rng", no_rng)
+        loaded, _, _, _ = load_checkpoint(path)
+        for k, p in tiny_model.params.items():
+            assert loaded.params[k].data.tobytes() == p.data.tobytes()
+
+    def test_unknown_params_ignored(self, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        tiny_model.params["retired.w"] = Tensor(np.ones((2, 2)), requires_grad=True)
+        save_checkpoint(tiny_model, path)
+        loaded, _, _, _ = load_checkpoint(path)
+        del tiny_model.params["retired.w"]
+        assert loaded.params.keys() == tiny_model.params.keys()
+
+    def test_wrong_shape_buffer_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        tiny_model.buffers["src.0.bn.running_mean"] = Tensor(np.full((1, 1), 0.5))
+        save_checkpoint(tiny_model, path)
+        with pytest.raises(CheckpointError, match="shape mismatch for buffer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("how,match", [("overrun", "past the payload"),
+                                           ("trailing", "after the last array")])
+    @pytest.mark.parametrize("kind", ["checkpoint", "trace"])
+    def test_malformed_container_rejected(self, kind, how, match, tiny_model,
+                                          rng, tmp_path):
+        if kind == "checkpoint":
+            path = tmp_path / "model.s2vc"
+            save_checkpoint(tiny_model, path)
+            read = load_checkpoint
+        else:
+            path = tmp_path / "trace.s2vt"
+            _, trace = tiny_model.forward(mel_seq(rng, 4, spk="s1"),
+                                          [mel_seq(rng, 6, utt="t", spk="s2")])
+            write_trace(path, trace)
+            read = read_trace
+        malform_container(path, how)
+        with pytest.raises(CheckpointError, match=match):
+            read(path)
+
+    def test_metadata_without_model_config_rejected(self, tmp_path):
+        path = tmp_path / "model.s2vc"
+        path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC,
+                                                   {"mel_config": {}}, {}))
+        with pytest.raises(CheckpointError, match="malformed checkpoint metadata"):
+            load_checkpoint(path)
 
 
 class TestInterruptedWrite:
