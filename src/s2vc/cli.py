@@ -69,9 +69,12 @@ def load_config_file(path):
 
 
 def resolve_train_config(config_file=None, overrides=None):
-    """defaults < config file < flag overrides."""
-    from .model import ModelConfig
-    from .training import TrainConfig
+    """defaults < config file < flag overrides.
+
+    An unknown key or a value the configs reject raises ConfigError.
+    """
+    from .model import ModelConfig, ModelError
+    from .training import TrainConfig, TrainingError
 
     values = {}
     if config_file:
@@ -89,6 +92,8 @@ def resolve_train_config(config_file=None, overrides=None):
         cfg = replace(TrainConfig(model=model_cfg, mel=mel_cfg), **section("train"))
     except TypeError as e:
         raise ConfigError(f"unknown config key: {e}") from e
+    except (ModelError, TrainingError, dsp.DspError) as e:
+        raise ConfigError(f"invalid config value: {e}") from e
     return cfg
 
 
@@ -287,7 +292,7 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
         _fail(str(e), EXIT_RUNTIME)
     text = json.dumps(res.to_dict(), indent=2, sort_keys=True)
     if out_json:
-        Path(out_json).write_text(text + "\n", encoding="utf-8")
+        dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
     click.echo(text)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,9 +94,8 @@ class MelConfig:
 
 @dataclass
 class Spectrogram:
-    frames: np.ndarray  # T x F magnitudes or T x n_mels log-mel
+    frames: np.ndarray  # T x n_mels log-mel
     config: MelConfig
-    kind: str = field(default="log_mel")  # "linear" | "log_mel"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def log_mel(buf, cfg):
     mags = np.abs(stft(buf.samples, cfg))
     mel = mags @ mel_filterbank(cfg).T
     frames = np.log(np.maximum(mel, cfg.log_floor)).astype(np.float32)
-    return Spectrogram(frames=frames, config=cfg, kind="log_mel")
+    return Spectrogram(frames=frames, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +375,10 @@ def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
     The per-iteration consistency residuals are attached to the returned
     buffer as ``buf.residuals`` for inspection.
     """
-    if spec.kind != "log_mel":
-        raise DspError(f"griffin_lim expects a log_mel spectrogram, got {spec.kind!r}")
     cfg = cfg or spec.config
+    if spec.frames.ndim != 2 or spec.frames.shape[1] != cfg.n_mels:
+        raise DspError(f"griffin_lim expects T x {cfg.n_mels} log-mel frames, "
+                       f"got shape {spec.frames.shape}")
     target = mel_to_linear(spec.frames, cfg)
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.random(target.shape))

@@ -9,7 +9,7 @@ across configurations with shared seeds and pair samples are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import dsp
 from . import nn
 from . import tensor as T
-from .features import FeatureSequence, Manifest, extract_mel, load_feature_file
+from .features import load_feature_file
 from .tensor import AdamW, GradTape, Tensor
 
 __all__ = [
@@ -131,8 +131,7 @@ def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
     returns (AudioBuffer, AttentionTrace, mel prediction)."""
     mel_cfg = mel_cfg or dsp.MelConfig()
     mel_pred, trace = model.forward(src, tgts, train=False)
-    spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32),
-                           config=mel_cfg, kind="log_mel")
+    spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32), config=mel_cfg)
     audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter)
     return audio, trace, mel_pred.data
 

@@ -9,6 +9,7 @@ hard errors.  See docs/formats.md for the byte layout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,7 +143,10 @@ def _unpack_str(raw, pos):
     end = pos + 2 + n
     if end > len(raw):
         raise FeatureFileError("truncated string payload")
-    return raw[pos + 2:end].decode("utf-8"), end
+    try:
+        return raw[pos + 2:end].decode("utf-8"), end
+    except UnicodeDecodeError as e:
+        raise FeatureFileError(f"string field at byte {pos} is not UTF-8: {e}") from e
 
 
 def write_feature_file(path, seq):
@@ -169,6 +173,8 @@ def load_feature_file(path):
         raise FeatureFileError(f"unsupported format version {version}")
     if dtype != DTYPE_F32:
         raise FeatureFileError(f"unsupported dtype code {dtype}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise FeatureFileError(f"invalid frame rate {fps} in {path}")
     pos = 4 + struct.calcsize("<HBII f")
     kind_name, pos = _unpack_str(raw, pos)
     speaker_id, pos = _unpack_str(raw, pos)
@@ -261,13 +267,15 @@ class Manifest:
                     continue
                 try:
                     d = json.loads(line)
+                    if not isinstance(d, dict):
+                        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
                     entries.append(ManifestEntry(
                         utterance_id=d["utterance_id"],
                         speaker_id=d["speaker_id"],
                         wav=d.get("wav", ""),
                         features=d.get("features", {}),
                     ))
-                except (json.JSONDecodeError, KeyError) as e:
+                except (json.JSONDecodeError, KeyError, TypeError) as e:
                     raise FeatureError(f"{path}:{line_no}: bad manifest line: {e}") from e
         return cls(entries)
 

@@ -15,7 +15,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -50,6 +50,12 @@ class CheckpointError(ModelError):
     pass
 
 
+# keys of older configs -> the only value the one fixed architecture matches:
+# a single cross-attention block, and the pooled target vector added to the
+# source encoding
+RETIRED_CONFIG_KEYS = {"n_attention_blocks": 1, "sap_strategy": "add"}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int = 512
@@ -64,13 +70,11 @@ class ModelConfig:
     conformer_heads: int = 2
     conformer_ff_dim: int = 1024
     conformer_conv_kernel: int = 15
-    n_attention_blocks: int = 1
     attn_bottleneck_dim: int = 4
     use_bottleneck: bool = True
     use_instance_norm: bool = True
     use_sap: bool = True
     use_cross_attention: bool = True
-    sap_strategy: str = "add"  # "add" | "concat_project"
     mel_dim: int = 80
     dropout: float = 0.0
 
@@ -79,12 +83,9 @@ class ModelConfig:
             raise ModelError("attn_bottleneck_dim must not exceed d_model")
         for f in ("d_model", "n_source_layers", "n_target_conv", "conv_kernel",
                   "n_decoder_conformer", "conformer_heads", "conformer_ff_dim",
-                  "conformer_conv_kernel", "attn_bottleneck_dim", "mel_dim",
-                  "n_attention_blocks"):
+                  "conformer_conv_kernel", "attn_bottleneck_dim", "mel_dim"):
             if getattr(self, f) <= 0:
                 raise ModelError(f"{f} must be positive")
-        if self.sap_strategy not in ("add", "concat_project"):
-            raise ModelError(f"unknown sap_strategy {self.sap_strategy!r}")
 
     @property
     def attn_dim(self):
@@ -101,6 +102,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config a ``to_dict`` result describes.
+
+        A retired key is accepted with the one value the fixed architecture
+        reproduces, and dropped; any other value is an error.
+        """
+        d = dict(d)
+        for key, fixed in RETIRED_CONFIG_KEYS.items():
+            value = d.pop(key, fixed)
+            if value != fixed:
+                raise ModelError(f"retired config key {key} = {value!r}; the "
+                                 f"model only has {key} = {fixed!r}")
         return cls(**d)
 
 
@@ -146,9 +158,10 @@ class S2VCModel:
         src_dim = cfg.resolved_source_dim()
         tgt_dim = cfg.resolved_target_dim()
 
+        # batch norm subtracts any bias the layer in front of it could add
         for i in range(cfg.n_source_layers):
             d_in = src_dim if i == 0 else d
-            nn.init_linear(self.params, f"src.{i}", d_in, d, rng)
+            nn.init_linear(self.params, f"src.{i}", d_in, d, rng, bias=False)
             nn.init_batchnorm(self.params, self.buffers, f"src.{i}.bn", d,
                               shape_only=rng is None)
 
@@ -158,16 +171,18 @@ class S2VCModel:
 
         if cfg.use_sap:
             nn.init_sap(self.params, "sap", d, rng)
-            if cfg.sap_strategy == "concat_project":
-                nn.init_linear(self.params, "sap.proj", 2 * d, d, rng)
 
-        for i in range(cfg.n_attention_blocks):
-            nn.init_linear(self.params, f"attn.{i}.wq", d, d, rng)
-            nn.init_linear(self.params, f"attn.{i}.wk", d, d, rng)
-            nn.init_linear(self.params, f"attn.{i}.wv", d, d, rng)
+        if cfg.use_cross_attention:
+            # a key bias shifts each softmax row by a constant, and instance
+            # norm subtracts a query bias
+            nn.init_linear(self.params, "attn.0.wq", d, d, rng,
+                           bias=not cfg.use_instance_norm)
+            nn.init_linear(self.params, "attn.0.wk", d, d, rng, bias=False)
+            nn.init_linear(self.params, "attn.0.wv", d, d, rng)
             if cfg.use_bottleneck:
-                nn.init_linear(self.params, f"attn.{i}.bq", d, cfg.attn_bottleneck_dim, rng)
-                nn.init_linear(self.params, f"attn.{i}.bk", d, cfg.attn_bottleneck_dim, rng)
+                nn.init_linear(self.params, "attn.0.bq", d, cfg.attn_bottleneck_dim, rng)
+                nn.init_linear(self.params, "attn.0.bk", d, cfg.attn_bottleneck_dim, rng,
+                               bias=False)
 
         for i in range(cfg.n_decoder_conformer):
             nn.init_conformer_block(self.params, self.buffers, f"dec.{i}", cfg, rng)
@@ -203,8 +218,8 @@ class S2VCModel:
 
     # -- attention ---------------------------------------------------------
 
-    def cross_attention(self, src_h, tgt_h, block=0):
-        """One attention block; returns (output, AttentionTrace)."""
+    def cross_attention(self, src_h, tgt_h):
+        """The attention block; returns (output, AttentionTrace)."""
         cfg = self.config
         if not cfg.use_cross_attention:
             d = cfg.attn_dim
@@ -218,16 +233,16 @@ class S2VCModel:
         if tgt_h.shape[0] < 1:
             raise ModelError("cross attention needs at least one target frame")
 
-        q = nn.linear(self.params, f"attn.{block}.wq", src_h)
-        k = nn.linear(self.params, f"attn.{block}.wk", tgt_h)
-        v = nn.linear(self.params, f"attn.{block}.wv", tgt_h)
+        q = nn.linear(self.params, "attn.0.wq", src_h)
+        k = nn.linear(self.params, "attn.0.wk", tgt_h)
+        v = nn.linear(self.params, "attn.0.wv", tgt_h)
         if cfg.use_instance_norm and src_h.shape[0] > 1:
             q = nn.instance_norm(q)
         if cfg.use_instance_norm and tgt_h.shape[0] > 1:
             k = nn.instance_norm(k)
         if cfg.use_bottleneck:
-            q = nn.linear(self.params, f"attn.{block}.bq", q)
-            k = nn.linear(self.params, f"attn.{block}.bk", k)
+            q = nn.linear(self.params, "attn.0.bq", q)
+            k = nn.linear(self.params, "attn.0.bk", k)
         scale = 1.0 / float(np.sqrt(cfg.attn_dim))
         attended, weights = T.attention(q, k, v, 1, scale)
         out = attended + src_h
@@ -271,12 +286,7 @@ class S2VCModel:
         pooled = None
         if cfg.use_sap:
             pooled = nn.self_attention_pool(self.params, "sap", tgt_h)  # 1 x d
-            if cfg.sap_strategy == "add":
-                src_h = src_h + pooled
-            else:
-                tiled = T.matmul(Tensor(np.ones((src_h.shape[0], 1), dtype=np.float32)),
-                                 pooled)
-                src_h = nn.linear(self.params, "sap.proj", T.concat_cols([src_h, tiled]))
+            src_h = src_h + pooled
 
         h, trace = self.cross_attention(src_h, tgt_h)
         if pooled is not None:
@@ -391,6 +401,29 @@ def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=
     write_atomic(path, _pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
 
 
+def _fold_pre_norm_biases(config, arrays):
+    """Fold the biases older checkpoints keep in front of batch norm into
+    the running mean that follows each one.
+
+    In eval mode batch norm of ``x + b`` with running mean ``rm`` is batch
+    norm of ``x`` with ``rm - b``; in train mode the batch mean cancels ``b``.
+    The other arrays older checkpoints carry, whose gradient is identically
+    zero too, are left for the load to ignore.
+    """
+    pairs = [(f"src.{i}.b", f"src.{i}.bn") for i in range(config.n_source_layers)]
+    pairs += [(f"dec.{i}.conv.dw.b", f"dec.{i}.conv.bn")
+              for i in range(config.n_decoder_conformer)]
+    for bias, bn in pairs:
+        b = arrays.pop(f"param.{bias}", None)
+        rm = arrays.get(f"buffer.{bn}.running_mean")
+        if b is None or rm is None:
+            continue
+        if b.size != rm.size:
+            raise CheckpointError(f"shape mismatch for retired parameter {bias!r}: "
+                                  f"{b.shape} vs running mean {rm.shape}")
+        rm -= b.reshape(rm.shape)
+
+
 def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
     """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays)."""
     with open(path, "rb") as fh:
@@ -401,6 +434,8 @@ def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
         mel_cfg = MelConfig.from_dict(meta["mel_config"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
+    except ModelError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     if expect_source_kind and config.source_feature_kind != expect_source_kind:
         raise CheckpointError(
             f"source feature kind mismatch: checkpoint has "
@@ -409,6 +444,7 @@ def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
         raise CheckpointError(
             f"target feature kind mismatch: checkpoint has "
             f"{config.target_feature_kind!r}, requested {expect_target_kind!r}")
+    _fold_pre_norm_biases(config, arrays)
     model = S2VCModel.from_state_arrays(config, arrays)
     extra_arrays = {k[len("extra."):]: v for k, v in arrays.items()
                     if k.startswith("extra.")}

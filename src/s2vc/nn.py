@@ -40,14 +40,18 @@ def _filled(value, shape, shape_only, requires_grad=True):
     return Tensor(np.full(shape, value), requires_grad=requires_grad)
 
 
-def init_linear(params, name, d_in, d_out, rng):
+def init_linear(params, name, d_in, d_out, rng, bias=True):
     scale = float(np.sqrt(6.0 / (d_in + d_out)))
     params[f"{name}.w"] = _uniform(rng, scale, (d_in, d_out))
-    params[f"{name}.b"] = _filled(0.0, (1, d_out), rng is None)
+    if bias:
+        params[f"{name}.b"] = _filled(0.0, (1, d_out), rng is None)
 
 
 def linear(params, name, x):
-    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
+    b = params.get(f"{name}.b")
+    if b is None:
+        return T.matmul(x, params[f"{name}.w"])
+    return T.linear(x, params[f"{name}.w"], b)
 
 
 def init_batchnorm(params, buffers, name, dim, shape_only=False):
@@ -100,8 +104,9 @@ glu = T.glu
 
 
 def init_mhsa(params, name, d_model, rng):
+    # a key bias shifts each softmax row by a constant, so there is none
     for proj in ("q", "k", "v", "o"):
-        init_linear(params, f"{name}.{proj}", d_model, d_model, rng)
+        init_linear(params, f"{name}.{proj}", d_model, d_model, rng, bias=proj != "k")
 
 
 def multi_head_self_attention(params, name, x, n_heads):
@@ -124,8 +129,8 @@ def init_conformer_block(params, buffers, name, cfg, rng):
     init_layernorm(params, f"{name}.conv.ln", d, shape_only)
     init_linear(params, f"{name}.conv.pw1", d, 2 * d, rng)
     scale = float(np.sqrt(3.0 / cfg.conformer_conv_kernel))
+    # no bias in front of batch norm, which subtracts it
     params[f"{name}.conv.dw.w"] = _uniform(rng, scale, (d, cfg.conformer_conv_kernel))
-    params[f"{name}.conv.dw.b"] = _filled(0.0, d, shape_only)
     init_batchnorm(params, buffers, f"{name}.conv.bn", d, shape_only)
     init_linear(params, f"{name}.conv.pw2", d, d, rng)
     init_layernorm(params, f"{name}.ff2.ln", d, shape_only)
@@ -149,7 +154,7 @@ def conformer_block(params, buffers, name, x, cfg, train=False, rng=None):
     x = x + multi_head_self_attention(params, f"{name}.attn", attn_in, cfg.conformer_heads)
     c = layer_norm(params, f"{name}.conv.ln", x)
     c = glu(linear(params, f"{name}.conv.pw1", c))
-    c = T.depthwise_conv1d(c, params[f"{name}.conv.dw.w"], params[f"{name}.conv.dw.b"])
+    c = T.depthwise_conv1d(c, params[f"{name}.conv.dw.w"])
     c = swish(batchnorm(params, buffers, f"{name}.conv.bn", c, train))
     c = linear(params, f"{name}.conv.pw2", c)
     if train:

@@ -750,8 +750,9 @@ def conv1d(x, w, b):
     return _make(res, "conv1d", (x, w, b), bw)
 
 
-def depthwise_conv1d(x, w, b):
-    """Per-channel same-padded convolution; ``w`` is C x k, ``b`` is (C,)."""
+def depthwise_conv1d(x, w, b=None):
+    """Per-channel same-padded convolution; ``w`` is C x k, ``b`` is (C,) or
+    None for no bias."""
     t_len, c = x.shape
     c_w, k = w.shape
     if c_w != c:
@@ -762,10 +763,13 @@ def depthwise_conv1d(x, w, b):
     res = np.zeros((t_len, c), dtype=x.data.dtype)
     for j in range(k):
         res += xp[j:j + t_len] * w.data[:, j]
-    res = res + b.data
+    inputs = (x, w)
+    if b is not None:
+        res = res + b.data
+        inputs = (x, w, b)
 
     def bw(g):
-        gx = gw = gb = None
+        gx = gw = None
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
@@ -775,11 +779,11 @@ def depthwise_conv1d(x, w, b):
             gw = np.zeros_like(w.data)
             for j in range(k):
                 gw[:, j] = (g * xp[j:j + t_len]).sum(axis=0)
-        if b.requires_grad:
-            gb = g.sum(axis=0)
-        return gx, gw, gb
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=0) if b.requires_grad else None
 
-    return _make(res, "depthwise_conv1d", (x, w, b), bw)
+    return _make(res, "depthwise_conv1d", inputs, bw)
 
 
 def dropout(x, rate, rng):

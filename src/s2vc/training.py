@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .dsp import MelConfig
-from .features import FeatureSequence, Manifest, load_feature_file, resolve_kind
+from .features import FeatureSequence, Manifest, load_feature_file
 from .model import ModelConfig, S2VCModel, load_checkpoint, save_checkpoint
 from .tensor import AdamW, GradTape, Tensor, clip_global_norm
 

@@ -14,7 +14,7 @@ from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
 from s2vc.features import Manifest, extract_mel, load_feature_file, write_feature_file
 from s2vc.model import S2VCModel, read_trace, save_checkpoint
-from conftest import malform_container
+from conftest import malform_container, open_half_written
 from test_dsp import _reference_resample
 from toycorpus import tiny_model_config
 
@@ -193,6 +193,19 @@ class TestTrain:
         assert res.exit_code == 2
         assert "unknown ablation" in res.stderr
 
+    @pytest.mark.parametrize("section,line", [
+        ("model", "d_model = 0"),
+        ("train", "learning_rate = 0"),
+        ("mel", "hop_length = 999"),
+    ], ids=["model", "train", "mel"])
+    def test_invalid_config_value_usage_error(self, runner, tmp_path, section, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
+        assert res.exit_code == 2, res.output
+        assert "invalid config value" in res.stderr
+        assert line.split(" ")[0] in res.stderr
+
     def test_missing_manifest_usage_error(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
         res = runner.invoke(main, ["train", "--config", str(cfg),
@@ -330,6 +343,19 @@ class TestProbeCommand:
         data = json.loads(out_json.read_text())
         assert data["site"] == "Q"
         assert 0.0 <= data["dev_accuracy"] <= 1.0
+
+    def test_interrupted_write_keeps_previous_file(
+            self, runner, corpus_manifest, tiny_checkpoint, tmp_path, monkeypatch):
+        out_json = tmp_path / "probe.json"
+        out_json.write_text('{"site": "K"}\n')
+        monkeypatch.setattr(dsp, "open", open_half_written, raising=False)
+        res = runner.invoke(main, ["probe", str(tiny_checkpoint),
+                                   str(corpus_manifest), "--site", "Q",
+                                   "--seed", "0", "--out", str(out_json)])
+        monkeypatch.undo()
+        assert isinstance(res.exception, OSError), res.output
+        assert out_json.read_text() == '{"site": "K"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == [out_json.name]
 
 
 class TestAblate:

@@ -360,23 +360,24 @@ class TestGriffinLim:
     def test_all_floor_is_near_silent(self):
         cfg = MelConfig()
         frames = np.full((50, 80), np.log(cfg.log_floor), dtype=np.float32)
-        spec = dsp.Spectrogram(frames=frames, config=cfg, kind="log_mel")
+        spec = dsp.Spectrogram(frames=frames, config=cfg)
         out = griffin_lim(spec, cfg, n_iter=10)
         assert np.sqrt(np.mean(out.samples ** 2)) < 1e-3
 
     def test_residual_decreases(self, rng):
         cfg = MelConfig()
         frames = rng.normal(size=(30, 80)).astype(np.float32)
-        spec = dsp.Spectrogram(frames=frames, config=cfg, kind="log_mel")
+        spec = dsp.Spectrogram(frames=frames, config=cfg)
         out = griffin_lim(spec, cfg, n_iter=30)
         res = np.array(out.residuals)
         assert np.all(np.diff(res) <= 1e-6 * np.maximum(res[:-1], 1.0))
 
     def test_rejects_linear_spec(self):
+        # 257 = n_fft // 2 + 1 linear bins, not the 80 mel bands of the config
         cfg = MelConfig()
         spec = dsp.Spectrogram(frames=np.zeros((10, 257), dtype=np.float32),
-                               config=cfg, kind="linear")
-        with pytest.raises(DspError):
+                               config=cfg)
+        with pytest.raises(DspError, match="80 log-mel"):
             griffin_lim(spec, cfg)
 
 

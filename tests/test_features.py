@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,30 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="non-finite"):
             load_feature_file(path)
 
+    @pytest.mark.parametrize("field,text", [("kind", b"cpc"), ("speaker", b"spk")])
+    def test_non_utf8_string_rejected(self, field, text, tmp_path):
+        seq = make_seq(np.zeros((4, 256), dtype=np.float32), spk="spk")
+        path = tmp_path / "u.s2vf"
+        write_feature_file(path, seq)
+        raw = bytearray(path.read_bytes())
+        pos = raw.find(text)
+        raw[pos:pos + 3] = b"\xff\xfe\xfd"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureFileError, match="not UTF-8"):
+            load_feature_file(path)
+
+    @pytest.mark.parametrize("fps", [0.0, -100.0, float("nan")])
+    def test_invalid_frame_rate_rejected(self, fps, tmp_path):
+        # a registry kind takes the rate from the header, not from the registry
+        seq = make_seq(np.zeros((4, 256), dtype=np.float32))
+        path = tmp_path / "u.s2vf"
+        write_feature_file(path, seq)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 4 + struct.calcsize("<HBII"), fps)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureFileError, match="frame rate"):
+            load_feature_file(path)
+
     @settings(max_examples=25, deadline=None)
     @given(frames=arrays(np.float32,
                          st.tuples(st.integers(1, 8), st.integers(1, 16)),
@@ -187,4 +213,10 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         path.write_text('{"utterance_id": "u1", "speaker_id": "s1"}\nnot json\n')
         with pytest.raises(FeatureError, match=":2"):
+            Manifest.load(path)
+
+    def test_non_object_line_rejected(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text('{"utterance_id": "u1", "speaker_id": "s1"}\n[1, 2]\n')
+        with pytest.raises(FeatureError, match="manifest.jsonl:2: .*JSON object"):
             Manifest.load(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from s2vc.model import (
     write_trace,
 )
 from s2vc.tensor import GradTape, Tensor
+from s2vc.training import ABLATION_ROWS, reconstruction_loss
 
 from conftest import gradcheck, malform_container, open_half_written
 from toycorpus import tiny_model_config
@@ -323,6 +325,124 @@ class TestForward:
         _, trace = model.forward(src, [tgt])
         assert np.abs(trace.q.mean(axis=0)).max() < 1e-4
         assert np.abs(trace.k.mean(axis=0)).max() < 1e-4
+
+
+def n_values(model):
+    return sum(p.size for p in model.params.values())
+
+
+class TestArchitecture:
+    """The model's shape follows from the four ablation flags and the sizes."""
+
+    def test_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert len(names) == 19
+        assert not names & set(model_mod.RETIRED_CONFIG_KEYS)
+
+    def test_parameter_counts(self):
+        tiny = S2VCModel(tiny_model_config(), seed=0)
+        assert (len(tiny.params), n_values(tiny)) == (124, 293_076)
+        assert n_values(S2VCModel(ModelConfig(), seed=0)) == 16_888_916
+
+    def test_flags_select_the_attention_block(self):
+        base = S2VCModel(tiny_model_config(), seed=0)
+        no_attn = S2VCModel(tiny_model_config(use_cross_attention=False), seed=0)
+        assert len(no_attn.params) == 117
+        assert set(base.params) - set(no_attn.params) == {
+            "attn.0.wq.w", "attn.0.wk.w", "attn.0.wv.w", "attn.0.wv.b",
+            "attn.0.bq.w", "attn.0.bq.b", "attn.0.bk.w"}
+        # without instance norm nothing cancels the query bias
+        no_in = S2VCModel(tiny_model_config(use_instance_norm=False), seed=0)
+        assert set(no_in.params) - set(base.params) == {"attn.0.wq.b"}
+
+    @pytest.mark.parametrize("overrides", [o for _, _, o in ABLATION_ROWS],
+                             ids=[name for _, name, _ in ABLATION_ROWS])
+    def test_every_parameter_gets_a_gradient(self, overrides, rng):
+        # float64, so that a gradient that is zero in exact arithmetic comes
+        # out near 1e-17 and stands apart from rounding noise
+        model = S2VCModel(tiny_model_config(**overrides), seed=0)
+        for k, p in model.params.items():
+            data = p.data
+            if k.endswith((".b", ".beta")):
+                data = rng.normal(scale=0.1, size=data.shape)
+            model.params[k] = Tensor(data, requires_grad=True, dtype=np.float64)
+        model.buffers = {k: Tensor(b.data, dtype=np.float64)
+                         for k, b in model.buffers.items()}
+        utt = mel_seq(rng, 12, spk="s1")
+        with GradTape() as tape:
+            pred, _ = model.forward(utt, [utt], train=True,
+                                    rng=np.random.default_rng(0))
+            loss = reconstruction_loss(pred, Tensor(utt.frames, dtype=np.float64))
+            tape.backward(loss)
+        max_grad = {k: float(np.abs(p.grad).max()) for k, p in model.params.items()}
+        assert {k: g for k, g in max_grad.items() if not g > 1e-8} == {}
+
+
+def legacy_checkpoint(path, model, rng):
+    """Write ``model`` in the layout of checkpoints made before the retired
+    config keys and zero-gradient biases were removed, every retired bias
+    nonzero.  Each bias in front of batch norm is also added to the running
+    mean after it, so the file describes the same eval-mode function."""
+    cfg = model.config
+    arrays = {k: v.copy() for k, v in model.state_arrays().items()}
+    pre_norm = [(f"src.{i}.b", f"src.{i}.bn", (1, cfg.d_model))
+                for i in range(cfg.n_source_layers)]
+    pre_norm += [(f"dec.{i}.conv.dw.b", f"dec.{i}.conv.bn", (cfg.d_model,))
+                 for i in range(cfg.n_decoder_conformer)]
+    for bias, bn, shape in pre_norm:
+        b = rng.normal(scale=0.5, size=shape).astype(np.float32)
+        arrays[f"param.{bias}"] = b
+        arrays[f"buffer.{bn}.running_mean"] += b.reshape(1, -1)
+    cancelled = [("attn.0.wq.b", cfg.d_model), ("attn.0.wk.b", cfg.d_model),
+                 ("attn.0.bk.b", cfg.attn_bottleneck_dim)]
+    cancelled += [(f"dec.{i}.attn.k.b", cfg.d_model)
+                  for i in range(cfg.n_decoder_conformer)]
+    for name, width in cancelled:
+        arrays[f"param.{name}"] = rng.normal(scale=0.5, size=(1, width)).astype(np.float32)
+    meta = {"model_config": {**cfg.to_dict(), "n_attention_blocks": 1,
+                             "sap_strategy": "add"},
+            "mel_config": dsp.MelConfig().to_dict()}
+    path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC, meta, arrays))
+
+
+class TestLegacyCheckpoint:
+    @pytest.fixture
+    def trained_looking_model(self, rng):
+        # nonzero biases and running statistics, as after training
+        model = S2VCModel(tiny_model_config(), seed=7)
+        for k, p in model.params.items():
+            if k.endswith((".b", ".beta")):
+                p.data[...] = rng.normal(scale=0.1, size=p.shape)
+        for k, b in model.buffers.items():
+            if k.endswith("running_mean"):
+                b.data[...] = rng.normal(scale=0.3, size=b.shape)
+            else:
+                b.data[...] = rng.uniform(0.5, 2.0, size=b.shape)
+        return model
+
+    def test_loads_with_the_same_function(self, trained_looking_model, rng,
+                                          tmp_path):
+        path = tmp_path / "legacy.s2vc"
+        legacy_checkpoint(path, trained_looking_model, rng)
+        loaded, _, _, _ = load_checkpoint(path)
+        assert loaded.params.keys() == trained_looking_model.params.keys()
+        assert loaded.config == trained_looking_model.config
+        src = mel_seq(rng, 9, spk="s1")
+        tgts = [mel_seq(rng, 7, utt=f"t{i}", spk="s2") for i in range(3)]
+        expected, _ = trained_looking_model.forward(src, tgts)
+        got, _ = loaded.forward(src, tgts)
+        np.testing.assert_allclose(got.data, expected.data, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("key,value", [("n_attention_blocks", 2),
+                                           ("sap_strategy", "concat_project")])
+    def test_other_retired_value_rejected(self, key, value, tiny_model, tmp_path):
+        path = tmp_path / "legacy.s2vc"
+        meta = {"model_config": {**tiny_model.config.to_dict(), key: value},
+                "mel_config": dsp.MelConfig().to_dict()}
+        path.write_bytes(model_mod._pack_blob_file(
+            model_mod.CHECKPOINT_MAGIC, meta, tiny_model.state_arrays()))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
 
 
 class TestCheckpoint:

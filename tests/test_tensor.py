@@ -288,6 +288,14 @@ class TestShaping:
         gradcheck(lambda ts: T.sum_(T.depthwise_conv1d(ts[0], ts[1], ts[2])),
                   [x, w, b])
 
+    def test_depthwise_conv_without_bias(self, rng):
+        x = rng.normal(size=(6, 3))
+        w = rng.normal(size=(3, 5))
+        gradcheck(lambda ts: T.sum_(T.abs_(T.depthwise_conv1d(ts[0], ts[1]))), [x, w])
+        zero = Tensor(np.zeros(3))
+        np.testing.assert_array_equal(T.depthwise_conv1d(Tensor(x), Tensor(w)).data,
+                                      T.depthwise_conv1d(Tensor(x), Tensor(w), zero).data)
+
     def test_cross_entropy_gradcheck(self, rng):
         logits = rng.normal(size=(4, 3))
         labels = np.array([0, 2, 1, 1])
@@ -464,6 +472,7 @@ SKIPPING = {
     "matmul": (lambda ts: T.matmul(*ts), [(3, 4), (4, 2)]),
     "conv1d": (lambda ts: T.conv1d(*ts), [(6, 2), (3, 2, 3), (3,)]),
     "depthwise_conv1d": (lambda ts: T.depthwise_conv1d(*ts), [(6, 3), (3, 5), (3,)]),
+    "depthwise_conv1d_no_bias": (lambda ts: T.depthwise_conv1d(*ts), [(6, 3), (3, 5)]),
     **{name: (fused, shapes) for name, (fused, _, shapes) in FUSED.items()},
 }
 
