@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,10 +69,21 @@ def load_config_file(path):
     return values
 
 
+def _type_matches(value, expected):
+    """Whether a parsed config value fits a field annotated ``expected``;
+    a bool fits only bool fields, and an int also fits float fields."""
+    if isinstance(value, bool) or expected is bool:
+        return type(value) is expected
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
 def resolve_train_config(config_file=None, overrides=None):
     """defaults < config file < flag overrides.
 
-    An unknown key or a value the configs reject raises ConfigError.
+    An unknown key, a value of the wrong type or a value the configs reject
+    raises ConfigError.
     """
     from .model import ModelConfig, ModelError
     from .training import TrainConfig, TrainingError
@@ -82,16 +94,23 @@ def resolve_train_config(config_file=None, overrides=None):
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-    def section(prefix):
-        return {k[len(prefix) + 1:]: v for k, v in values.items()
-                if k.startswith(prefix + ".")}
+    sections = {"model": ModelConfig, "mel": MelConfig, "train": TrainConfig}
+    fields = {name: typing.get_type_hints(cls) for name, cls in sections.items()}
+    chosen = {name: {} for name in sections}
+    for full, value in values.items():
+        name, _, key = full.partition(".")
+        expected = fields.get(name, {}).get(key)
+        if expected is None:
+            raise ConfigError(f"unknown config key: {full}")
+        if not _type_matches(value, expected):
+            raise ConfigError(f"invalid config value: {full} = {value} "
+                              f"(expected {expected.__name__})")
+        chosen[name][key] = value
 
     try:
-        model_cfg = replace(ModelConfig(), **section("model"))
-        mel_cfg = replace(MelConfig(), **section("mel"))
-        cfg = replace(TrainConfig(model=model_cfg, mel=mel_cfg), **section("train"))
-    except TypeError as e:
-        raise ConfigError(f"unknown config key: {e}") from e
+        model_cfg = replace(ModelConfig(), **chosen["model"])
+        mel_cfg = replace(MelConfig(), **chosen["mel"])
+        cfg = replace(TrainConfig(model=model_cfg, mel=mel_cfg), **chosen["train"])
     except (ModelError, TrainingError, dsp.DspError) as e:
         raise ConfigError(f"invalid config value: {e}") from e
     return cfg

@@ -136,6 +136,22 @@ def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
     return audio, trace, mel_pred.data
 
 
+def _target_encodings(model, src, entries, cache):
+    """The per-utterance target encodings ``model.forward`` computes for
+    ``src`` and the target utterances ``entries``, each encoded once per
+    ``cache``: (utterance id, frame rate) -> (aligned sequence, encoding)."""
+    kind = model.config.target_feature_kind
+    hits = []
+    for e in entries:
+        key = (e.utterance_id, src.fps)
+        if key not in cache:
+            (seq,) = model.align_targets(src, [_load_seq(e, kind)])
+            cache[key] = (seq, model.target_encode(seq))
+        hits.append(cache[key])
+    model.align_targets(src, [seq for seq, _ in hits])  # one kind, one speaker
+    return [enc for _, enc in hits]
+
+
 def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
              pairs=None, train_speakers=None):
     """Objective evaluation of ``model``; writes report.json and report.txt
@@ -144,6 +160,12 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     The embedder and the EER calibration always use the whole manifest;
     ``scenario`` and ``train_speakers`` select the pairs (see sample_pairs)
     unless ``pairs`` is given.
+
+    Each utterance is embedded once, each pair's source is encoded once for
+    both of its forwards, and each distinct source is self-reconstructed
+    once.  Pairs run grouped by target speaker, so target encodings are
+    cached for one speaker at a time; results keep the sampled pair order
+    (docs/eval.md).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,30 +175,40 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     mels = load_mels(manifest)
     if embedder is None:
         embedder = train_speaker_embedder(list(mels.values()), seed=seed)
-    by_spk = {}
-    for frames, spk in mels.values():
-        by_spk.setdefault(spk, []).append(embedder.embed(frames))
+    embs, by_spk = {}, {}
+    for utt, (frames, spk) in mels.items():
+        embs[utt] = embedder.embed(frames)
+        by_spk.setdefault(spk, []).append(embs[utt])
     threshold, eer = calibrate_threshold(by_spk, seed=seed)
 
-    scores = []
-    recon_l1 = []
-    for pair in pairs:
-        src_seq = _load_seq(pair.source, model.config.source_feature_kind)
-        tgts = [_load_seq(t, model.config.target_feature_kind) for t in pair.targets]
-        mel_pred, _ = model.forward(src_seq, tgts, train=False)
-        conv_emb = embedder.embed(mel_pred.data)
-        tgt_embs = np.stack([embedder.embed(mels[t.utterance_id][0])
-                             for t in pair.targets])
-        centroid = tgt_embs.mean(axis=0)
-        centroid /= np.linalg.norm(centroid)
-        scores.append(cosine_similarity(conv_emb, centroid))
+    scores = [None] * len(pairs)
+    recon_by_src = {}   # source utterance id -> self-reconstruction L1
+    by_target = {}
+    for i, pair in enumerate(pairs):
+        by_target.setdefault(pair.targets[0].speaker_id, []).append(i)
+    for indices in by_target.values():
+        encoded = {}    # this target speaker's utterances only
+        for i in indices:
+            pair = pairs[i]
+            src_seq = _load_seq(pair.source, model.config.source_feature_kind)
+            tgt_encodings = _target_encodings(model, src_seq, pair.targets, encoded)
+            src_h = model.source_encode(src_seq)
+            h, _ = model.attend(src_h, tgt_encodings)
+            conv_emb = embedder.embed(model.decode(h).data)
+            centroid = np.stack([embs[t.utterance_id] for t in pair.targets]).mean(axis=0)
+            centroid /= np.linalg.norm(centroid)
+            scores[i] = cosine_similarity(conv_emb, centroid)
 
-        # quality proxy: self-reconstruction error on the source utterance
-        self_tgt = _load_seq(pair.source, model.config.target_feature_kind)
-        self_pred, _ = model.forward(src_seq, [self_tgt], train=False)
-        gt = mels[pair.source.utterance_id][0]
-        t = min(self_pred.shape[0], gt.shape[0])
-        recon_l1.append(float(np.mean(np.abs(self_pred.data[:t] - gt[:t]))))
+            # quality proxy: self-reconstruction error on the source utterance
+            utt = pair.source.utterance_id
+            if utt not in recon_by_src:
+                h, _ = model.attend(src_h, _target_encodings(model, src_seq,
+                                                             [pair.source], {}))
+                self_pred = model.decode(h).data
+                gt = mels[utt][0]
+                t = min(self_pred.shape[0], gt.shape[0])
+                recon_by_src[utt] = float(np.mean(np.abs(self_pred[:t] - gt[:t])))
+    recon_l1 = [recon_by_src[p.source.utterance_id] for p in pairs]
 
     result = {
         "scenario": scenario,
@@ -399,9 +431,10 @@ def probe_speaker_info(model, manifest, site, seed=0, max_pairs=40,
         s1, s2 = rng.choice(speakers, size=2, replace=False)
         src = by_speaker[s1][int(rng.integers(len(by_speaker[s1])))]
         tgt = by_speaker[s2][int(rng.integers(len(by_speaker[s2])))]
+        # the attention internals of model.forward, without its decoder
         src_seq = _load_seq(src, model.config.source_feature_kind)
-        tgt_seq = _load_seq(tgt, model.config.target_feature_kind)
-        _, trace = model.forward(src_seq, [tgt_seq], train=False)
+        tgt_encodings = _target_encodings(model, src_seq, [tgt], {})
+        _, trace = model.attend(model.source_encode(src_seq), tgt_encodings)
         mat = {"Q": trace.q, "K": trace.k, "V": trace.v}[site]
         if mat.size == 0:
             raise EvalError(f"site {site} is empty (cross attention disabled?)")

@@ -265,34 +265,45 @@ class S2VCModel:
 
     # -- full forward ------------------------------------------------------
 
+    def align_targets(self, src, tgts):
+        """``tgts`` at the frame rate of ``src``, checked to be one kind and
+        one speaker."""
+        if isinstance(tgts, FeatureSequence):
+            tgts = [tgts]
+        aligned = [align_frame_rate(s, src.fps) for s in tgts]
+        concat_target(aligned)  # validates kind/speaker homogeneity
+        return aligned
+
+    def attend(self, src_h, tgt_encodings):
+        """Condition the source encoding on the target encodings.
+
+        ``tgt_encodings`` holds one ``target_encode`` result per target
+        utterance; pooling and attention see them concatenated.  Returns
+        (decoder input, AttentionTrace).
+        """
+        tgt_h = T.concat_rows(tgt_encodings)
+        pooled = None
+        if self.config.use_sap:
+            pooled = nn.self_attention_pool(self.params, "sap", tgt_h)  # 1 x d
+            src_h = src_h + pooled
+        h, trace = self.cross_attention(src_h, tgt_h)
+        if pooled is not None:
+            trace.pooled_target = pooled.data.reshape(-1).astype(np.float32, copy=True)
+        return h, trace
+
     def forward(self, src, tgts, train=False, rng=None):
         """Run the conversion network.
 
         ``src`` is one FeatureSequence, ``tgts`` a list of sequences from the
         target speaker; returns (mel prediction Ts x mel_dim, AttentionTrace).
         """
-        cfg = self.config
-        if isinstance(tgts, FeatureSequence):
-            tgts = [tgts]
-        aligned = [align_frame_rate(s, src.fps) for s in tgts]
-        # validates kind/speaker homogeneity across the target set
-        concat_target(aligned)
-
+        aligned = self.align_targets(src, tgts)
         src_h = self.source_encode(src, train=train)
         # encode per utterance so conv padding never leaks across utterance
-        # boundaries; attention and pooling see the concatenated encodings
-        tgt_h = T.concat_rows([self.target_encode(s, train=train) for s in aligned])
-
-        pooled = None
-        if cfg.use_sap:
-            pooled = nn.self_attention_pool(self.params, "sap", tgt_h)  # 1 x d
-            src_h = src_h + pooled
-
-        h, trace = self.cross_attention(src_h, tgt_h)
-        if pooled is not None:
-            trace.pooled_target = pooled.data.reshape(-1).astype(np.float32, copy=True)
-        mel = self.decode(h, train=train, rng=rng)
-        return mel, trace
+        # boundaries
+        tgt_encodings = [self.target_encode(s, train=train) for s in aligned]
+        h, trace = self.attend(src_h, tgt_encodings)
+        return self.decode(h, train=train, rng=rng), trace
 
     # -- parameter access --------------------------------------------------
 

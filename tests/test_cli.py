@@ -206,6 +206,49 @@ class TestTrain:
         assert "invalid config value" in res.stderr
         assert line.split(" ")[0] in res.stderr
 
+    @pytest.mark.parametrize("line,message", [
+        ("[model]\nd_model = abc", "model.d_model = abc (expected int)"),
+        ("[model]\nuse_sap = 3", "model.use_sap = 3 (expected bool)"),
+        ("[model]\nd_model = true", "model.d_model = True (expected int)"),
+        ("[model]\nd_model = 64.0", "model.d_model = 64.0 (expected int)"),
+        ("[train]\nlearning_rate = fast", "train.learning_rate = fast (expected float)"),
+        ("[train]\nmanifest = 12", "train.manifest = 12 (expected str)"),
+        ("[mel]\nfmax = off", "mel.fmax = off (expected float)"),
+    ], ids=["str-for-int", "int-for-bool", "bool-for-int", "float-for-int",
+            "str-for-float", "int-for-str", "mel-section"])
+    def test_wrongly_typed_value_usage_error(self, runner, tmp_path, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
+        assert res.exit_code == 2, res.output
+        assert f"invalid config value: {message}" in res.stderr
+
+    @pytest.mark.parametrize("line,key,value", [
+        ("[train]\nlearning_rate = 1", "learning_rate", 1),
+        ("[model]\nuse_sap = false", "use_sap", False),
+        ("[model]\nsource_feature_kind = \"mel\"", "source_feature_kind", "mel"),
+        ("[train]\nmanifest = \"12\"", "manifest", "12"),
+    ], ids=["int-for-float", "bool", "quoted-str", "quoted-digits"])
+    def test_well_typed_value_accepted(self, runner, tmp_path, line, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
+        assert res.exit_code == 0, res.output
+        resolved = json.loads(res.output)
+        assert resolved.get(key, resolved["model"].get(key)) == value
+
+    @pytest.mark.parametrize("text,key", [
+        ("[model]\nd_modle = 64\n", "model.d_modle"),
+        ("[modle]\nd_model = 64\n", "modle.d_model"),
+        ("d_model = 64\n", "d_model"),
+    ], ids=["key", "section", "no-section"])
+    def test_unknown_key_keeps_its_message(self, runner, tmp_path, text, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
+        assert res.exit_code == 2, res.output
+        assert f"unknown config key: {key}" in res.stderr
+
     def test_missing_manifest_usage_error(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
         res = runner.invoke(main, ["train", "--config", str(cfg),

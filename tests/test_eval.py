@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from s2vc.evaluate import (
 from s2vc.evaluate import TestPair as Pair
 from s2vc.features import Manifest, load_feature_file
 from s2vc.model import S2VCModel
+from s2vc.training import ABLATION_ROWS
 from toycorpus import tiny_model_config
 
 
@@ -232,6 +235,40 @@ class TestConvert:
         assert trace.attn_weights.shape == (trace.q.shape[0], trace.k.shape[0])
 
 
+def _probe_reference(model, manifest, site, seed, max_pairs, frames_per_pair,
+                     probe_steps):
+    """probe_speaker_info with the site matrix read off a full forward."""
+    by_speaker = manifest.speakers()
+    speakers = sorted(by_speaker)
+    spk_idx = {s: i for i, s in enumerate(speakers)}
+    rng = np.random.default_rng(seed)
+    feats_x, labels = [], []
+    for _ in range(max_pairs):
+        s1, s2 = rng.choice(speakers, size=2, replace=False)
+        src = by_speaker[s1][int(rng.integers(len(by_speaker[s1])))]
+        tgt = by_speaker[s2][int(rng.integers(len(by_speaker[s2])))]
+        _, trace = model.forward(
+            evaluate._load_seq(src, model.config.source_feature_kind),
+            [evaluate._load_seq(tgt, model.config.target_feature_kind)])
+        mat = {"Q": trace.q, "K": trace.k, "V": trace.v}[site]
+        take = min(frames_per_pair, mat.shape[0])
+        sel = rng.choice(mat.shape[0], size=take, replace=False)
+        feats_x.append(mat[sel])
+        labels.append(np.full(take, spk_idx[s1] if site == "Q" else spk_idx[s2]))
+    order = rng.permutation(len(feats_x))
+    dev = set(order[:max(1, len(feats_x) // 10)].tolist())
+    train = [i for i in range(len(feats_x)) if i not in dev]
+    train_acc, dev_acc = evaluate._linear_probe(
+        np.concatenate([feats_x[i] for i in train]),
+        np.concatenate([labels[i] for i in train]),
+        np.concatenate([feats_x[i] for i in dev]),
+        np.concatenate([labels[i] for i in dev]),
+        len(speakers), steps=probe_steps, seed=seed)
+    return evaluate.ProbeResult(site, (model.config.source_feature_kind,
+                                       model.config.target_feature_kind),
+                                train_acc, dev_acc, len(speakers))
+
+
 class TestProbe:
     def test_deterministic(self, manifest, tiny_model):
         a = probe_speaker_info(tiny_model, manifest, "Q", seed=0, max_pairs=6,
@@ -242,6 +279,12 @@ class TestProbe:
         assert a.train_accuracy == b.train_accuracy
         assert a.class_count == 2
         assert a.site == "Q"
+
+    @pytest.mark.parametrize("site", ["Q", "K", "V"])
+    def test_matches_forward_reference(self, site, manifest, tiny_model):
+        kwargs = dict(seed=2, max_pairs=8, frames_per_pair=6, probe_steps=40)
+        got = probe_speaker_info(tiny_model, manifest, site, **kwargs)
+        assert got == _probe_reference(tiny_model, manifest, site, **kwargs)
 
     def test_unknown_site(self, manifest, tiny_model):
         with pytest.raises(EvalError, match="site"):
@@ -259,6 +302,114 @@ class TestProbe:
         tr, dv = evaluate._linear_probe(x[:360], y[:360], x[360:], y[360:],
                                         n_classes=2, steps=200, seed=0)
         assert 0.25 <= dv <= 0.75
+
+
+def _run_eval_reference(model, manifest, scenario, n_pairs, seed, out_dir,
+                        train_speakers=None):
+    """run_eval as one full forward per conversion and one per
+    self-reconstruction, every pair on its own: the loop run_eval replaced."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
+                         train_speakers=train_speakers)
+    mels = evaluate.load_mels(manifest)
+    embedder = train_speaker_embedder(list(mels.values()), seed=seed)
+    by_spk = {}
+    for frames, spk in mels.values():
+        by_spk.setdefault(spk, []).append(embedder.embed(frames))
+    threshold, eer = calibrate_threshold(by_spk, seed=seed)
+    src_kind = model.config.source_feature_kind
+    tgt_kind = model.config.target_feature_kind
+    scores, recon_l1 = [], []
+    for pair in pairs:
+        src_seq = evaluate._load_seq(pair.source, src_kind)
+        tgts = [evaluate._load_seq(t, tgt_kind) for t in pair.targets]
+        mel_pred, _ = model.forward(src_seq, tgts, train=False)
+        conv_emb = embedder.embed(mel_pred.data)
+        tgt_embs = np.stack([embedder.embed(mels[t.utterance_id][0])
+                             for t in pair.targets])
+        centroid = tgt_embs.mean(axis=0)
+        centroid /= np.linalg.norm(centroid)
+        scores.append(cosine_similarity(conv_emb, centroid))
+        self_tgt = evaluate._load_seq(pair.source, tgt_kind)
+        self_pred, _ = model.forward(src_seq, [self_tgt], train=False)
+        gt = mels[pair.source.utterance_id][0]
+        t = min(self_pred.shape[0], gt.shape[0])
+        recon_l1.append(float(np.mean(np.abs(self_pred.data[:t] - gt[:t]))))
+    result = {"scenario": scenario, "n_pairs": len(pairs), "seed": seed,
+              "sv_accuracy": sv_accuracy(scores, threshold), "eer": eer,
+              "threshold": threshold, "recon_l1": float(np.mean(recon_l1))}
+    render_report([result], out_dir / "report.json", out_dir / "report.txt",
+                  model_config=model.config.to_dict())
+    return result
+
+
+class TestRunEval:
+    @pytest.mark.parametrize("scenario", ["s2s", "u2u"])
+    def test_matches_per_pair_forwards(self, scenario, four_speaker_manifest,
+                                       tiny_model, tmp_path):
+        man = Manifest.load(four_speaker_manifest)
+        kwargs = dict(scenario=scenario, n_pairs=12, seed=3,
+                      train_speakers=["spkA", "spkB"])
+        want = _run_eval_reference(tiny_model, man, out_dir=tmp_path / "ref",
+                                   **kwargs)
+        got = evaluate.run_eval(tiny_model, man, out_dir=tmp_path / "new", **kwargs)
+        assert got == want
+        for name in ("report.json", "report.txt"):
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes())
+
+    def test_each_utterance_embedded_and_encoded_once(
+            self, four_speaker_manifest, tiny_model, tmp_path, monkeypatch):
+        man = Manifest.load(four_speaker_manifest)
+        embedder = train_speaker_embedder(
+            list(evaluate.load_mels(man).values()), steps=5, seed=0)
+        calls = {"embed": 0, "target_encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SpeakerEmbedder, "embed",
+                            counted("embed", SpeakerEmbedder.embed))
+        monkeypatch.setattr(S2VCModel, "target_encode",
+                            counted("target_encode", S2VCModel.target_encode))
+        pairs = sample_pairs(man, n=20, seed=5)
+        evaluate.run_eval(tiny_model, man, "s2s", len(pairs), 5, tmp_path,
+                          embedder=embedder, pairs=pairs)
+
+        assert calls["embed"] == len(man.entries) + len(pairs)
+
+        def speaker(p):
+            return p.targets[0].speaker_id
+
+        per_group = sum(
+            len({t.utterance_id for p in group for t in p.targets})
+            for _, group in groupby(sorted(pairs, key=speaker), key=speaker))
+        sources = len({p.source.utterance_id for p in pairs})
+        assert per_group < 5 * len(pairs)  # the bound below saves work
+        assert calls["target_encode"] <= per_group + sources
+
+
+class TestAttend:
+    @pytest.mark.parametrize("overrides", [o for _, _, o in ABLATION_ROWS],
+                             ids=[f"({row}) {name}" for row, name, _ in ABLATION_ROWS])
+    def test_equals_forward_bit_for_bit(self, overrides, manifest):
+        mdl = S2VCModel(tiny_model_config(**overrides), seed=1)
+        by_spk = manifest.speakers()
+        src = load_feature_file(by_spk["spkA"][0].features["mel"])
+        tgts = [load_feature_file(e.features["mel"]) for e in by_spk["spkB"][:5]]
+        mel, trace = mdl.forward(src, tgts)
+
+        h, split_trace = mdl.attend(mdl.source_encode(src),
+                                    [mdl.target_encode(t) for t in tgts])
+        assert np.array_equal(mdl.decode(h).data, mel.data)
+        for field in ("q", "k", "v", "attn_weights", "pooled_target"):
+            a, b = getattr(trace, field), getattr(split_trace, field)
+            assert (a is None) == (b is None)
+            assert a is None or (a.shape == b.shape and np.array_equal(a, b))
+        assert (trace.pooled_target is None) == (not mdl.config.use_sap)
 
 
 class TestReport:
