@@ -224,7 +224,7 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
         path = training.run_training(cfg, resume_from=resume,
                                      log_fn=lambda l: click.echo(
                                          f"step {l['step']} loss {l['loss']:.4f}"))
-    except training.TrainingError as e:
+    except (training.TrainingError, features.FeatureError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(f"final checkpoint: {path}")
 
@@ -257,8 +257,7 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
         dsp.write_wav(out_wav, audio)
         if dump_trace:
             model_mod.write_trace(dump_trace, trace)
-    except (model_mod.CheckpointError, features.FeatureError, dsp.DspError,
-            model_mod.ModelError) as e:
+    except (model_mod.ModelError, features.FeatureError, dsp.DspError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(f"wrote {out_wav}")
 
@@ -283,8 +282,7 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
         result = evaluate.run_eval(mdl, manifest, scenario, n_pairs,
                                    _global_seed(seed), out_dir,
                                    train_speakers=extra.get("train_speakers"))
-    except (evaluate.EvalError, model_mod.CheckpointError,
-            features.FeatureError) as e:
+    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(json.dumps(result, indent=2, sort_keys=True))
 
@@ -306,8 +304,7 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
         manifest = Manifest.load(manifest_path)
         res = evaluate.probe_speaker_info(mdl, manifest, site,
                                           seed=_global_seed(seed))
-    except (evaluate.EvalError, model_mod.CheckpointError,
-            features.FeatureError) as e:
+    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError) as e:
         _fail(str(e), EXIT_RUNTIME)
     text = json.dumps(res.to_dict(), indent=2, sort_keys=True)
     if out_json:
@@ -339,13 +336,12 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     if not Path(manifest).exists():
         _fail(f"manifest not found: {manifest}", EXIT_USAGE)
 
-    man = Manifest.load(manifest)
-    pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=seed)
-    embedder = evaluate.train_speaker_embedder(
-        list(evaluate.load_mels(man).values()), seed=seed)
-
     rows = []
     try:
+        man = Manifest.load(manifest)
+        pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=seed)
+        embedder = evaluate.train_speaker_embedder(
+            list(evaluate.load_mels(man).values()), seed=seed)
         for row, name, run_cfg in training.ablation_suite(base):
             run_dir = Path(run_cfg.out_dir)
             report_path = run_dir / "report.json"
@@ -361,7 +357,7 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
             result = evaluate.run_eval(mdl, man, "s2s", n_pairs, seed, run_dir,
                                        embedder=embedder, pairs=pairs)
             rows.append({"row": f"({row})", "name": name, **result})
-    except (training.TrainingError, evaluate.EvalError) as e:
+    except (training.TrainingError, evaluate.EvalError, features.FeatureError) as e:
         _fail(str(e), EXIT_RUNTIME)
 
     out = Path(out_dir)

@@ -17,7 +17,7 @@ import numpy as np
 from . import dsp
 from . import nn
 from . import tensor as T
-from .features import load_feature_file
+from .features import align_frame_rate
 from .tensor import AdamW, GradTape, Tensor
 
 __all__ = [
@@ -110,19 +110,9 @@ def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
     return pairs
 
 
-def _load_seq(entry, kind):
-    path = entry.features.get(kind)
-    if path is None:
-        raise EvalError(f"utterance {entry.utterance_id!r} has no {kind!r} features")
-    seq = load_feature_file(path)
-    seq.utterance_id = entry.utterance_id
-    seq.speaker_id = entry.speaker_id
-    return seq
-
-
 def load_mels(manifest):
     """Log-mel frames and speaker of every manifest utterance, by utterance id."""
-    return {e.utterance_id: (_load_seq(e, "mel").frames, e.speaker_id)
+    return {e.utterance_id: (e.load("mel").frames, e.speaker_id)
             for e in manifest.entries}
 
 
@@ -139,17 +129,16 @@ def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
 def _target_encodings(model, src, entries, cache):
     """The per-utterance target encodings ``model.forward`` computes for
     ``src`` and the target utterances ``entries``, each encoded once per
-    ``cache``: (utterance id, frame rate) -> (aligned sequence, encoding)."""
+    ``cache``: (utterance id, frame rate) -> encoding.
+
+    The entries come from one speaker: a TestPair's targets, or one entry.
+    """
     kind = model.config.target_feature_kind
-    hits = []
     for e in entries:
         key = (e.utterance_id, src.fps)
         if key not in cache:
-            (seq,) = model.align_targets(src, [_load_seq(e, kind)])
-            cache[key] = (seq, model.target_encode(seq))
-        hits.append(cache[key])
-    model.align_targets(src, [seq for seq, _ in hits])  # one kind, one speaker
-    return [enc for _, enc in hits]
+            cache[key] = model.target_encode(align_frame_rate(e.load(kind), src.fps))
+    return [cache[(e.utterance_id, src.fps)] for e in entries]
 
 
 def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
@@ -190,7 +179,7 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
         encoded = {}    # this target speaker's utterances only
         for i in indices:
             pair = pairs[i]
-            src_seq = _load_seq(pair.source, model.config.source_feature_kind)
+            src_seq = pair.source.load(model.config.source_feature_kind)
             tgt_encodings = _target_encodings(model, src_seq, pair.targets, encoded)
             src_h = model.source_encode(src_seq)
             h, _ = model.attend(src_h, tgt_encodings)
@@ -432,7 +421,7 @@ def probe_speaker_info(model, manifest, site, seed=0, max_pairs=40,
         src = by_speaker[s1][int(rng.integers(len(by_speaker[s1])))]
         tgt = by_speaker[s2][int(rng.integers(len(by_speaker[s2])))]
         # the attention internals of model.forward, without its decoder
-        src_seq = _load_seq(src, model.config.source_feature_kind)
+        src_seq = src.load(model.config.source_feature_kind)
         tgt_encodings = _target_encodings(model, src_seq, [tgt], {})
         _, trace = model.attend(model.source_encode(src_seq), tgt_encodings)
         mat = {"Q": trace.q, "K": trace.k, "V": trace.v}[site]

@@ -29,7 +29,6 @@ __all__ = [
     "write_feature_file",
     "load_feature_file",
     "align_frame_rate",
-    "concat_target",
     "Manifest",
     "ManifestEntry",
 ]
@@ -193,7 +192,7 @@ def load_feature_file(path):
 
 
 # ---------------------------------------------------------------------------
-# frame-rate alignment and target concatenation
+# frame-rate alignment
 
 def align_frame_rate(seq, target_fps):
     """Nearest-neighbor repetition/decimation to ``target_fps``."""
@@ -207,28 +206,6 @@ def align_frame_rate(seq, target_fps):
     idx = np.minimum((np.arange(new_t) * seq.fps / target_fps).astype(np.int64), t - 1)
     return FeatureSequence(seq.kind, seq.frames[idx], target_fps,
                            seq.utterance_id, seq.speaker_id)
-
-
-def concat_target(seqs):
-    """Time-axis concatenation of same-kind, same-speaker sequences."""
-    seqs = list(seqs)
-    if not seqs:
-        raise FeatureError("concat_target of zero sequences")
-    first = seqs[0]
-    for s in seqs[1:]:
-        if s.kind != first.kind:
-            raise FeatureError(f"mixed kinds {first.kind.name!r} vs {s.kind.name!r}")
-        if abs(s.fps - first.fps) > 1e-9:
-            raise FeatureError("mixed frame rates")
-        if s.speaker_id != first.speaker_id:
-            raise FeatureError(
-                f"mixed speakers {first.speaker_id!r} vs {s.speaker_id!r}"
-            )
-    if len(seqs) == 1:
-        return first
-    frames = np.concatenate([s.frames for s in seqs], axis=0)
-    utt_id = "+".join(s.utterance_id for s in seqs)
-    return FeatureSequence(first.kind, frames, first.fps, utt_id, first.speaker_id)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +228,18 @@ class ManifestEntry:
             },
             sort_keys=True,
         )
+
+    def load(self, kind):
+        """This utterance's ``kind`` features, carrying the manifest's
+        utterance and speaker ids."""
+        path = self.features.get(kind)
+        if path is None:
+            raise FeatureError(
+                f"utterance {self.utterance_id!r} has no {kind!r} features")
+        seq = load_feature_file(path)
+        seq.utterance_id = self.utterance_id
+        seq.speaker_id = self.speaker_id
+        return seq
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .dsp import MelConfig, write_atomic
-from .features import FeatureSequence, align_frame_rate, concat_target, resolve_kind
+from .features import align_frame_rate, resolve_kind
 from .tensor import Tensor
 
 __all__ = [
@@ -92,10 +92,10 @@ class ModelConfig:
         return self.attn_bottleneck_dim if self.use_bottleneck else self.d_model
 
     def resolved_source_dim(self):
-        return self.source_dim or resolve_kind(self.source_feature_kind, dim=self.source_dim or None).nominal_dim
+        return self.source_dim or resolve_kind(self.source_feature_kind).nominal_dim
 
     def resolved_target_dim(self):
-        return self.target_dim or resolve_kind(self.target_feature_kind, dim=self.target_dim or None).nominal_dim
+        return self.target_dim or resolve_kind(self.target_feature_kind).nominal_dim
 
     def to_dict(self):
         return asdict(self)
@@ -192,7 +192,8 @@ class S2VCModel:
 
     def source_encode(self, src, train=False):
         cfg = self.config
-        self._check_kind(src, cfg.source_feature_kind, "source")
+        self._check_seq(src, cfg.source_feature_kind, cfg.resolved_source_dim(),
+                        "source")
         h = Tensor(src.frames)
         for i in range(cfg.n_source_layers):
             h = nn.linear(self.params, f"src.{i}", h)
@@ -203,17 +204,23 @@ class S2VCModel:
 
     def target_encode(self, tgt, train=False):
         cfg = self.config
-        self._check_kind(tgt, cfg.target_feature_kind, "target")
+        self._check_seq(tgt, cfg.target_feature_kind, cfg.resolved_target_dim(),
+                        "target")
         h = Tensor(tgt.frames)
         for i in range(cfg.n_target_conv):
             h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h))
         return h
 
-    def _check_kind(self, seq, expected, role):
-        if seq.kind.name != expected:
+    def _check_seq(self, seq, kind, dim, role):
+        if seq.kind.name != kind:
             raise ModelError(
-                f"{role} feature kind mismatch: model expects {expected!r}, "
+                f"{role} feature kind mismatch: model expects {kind!r}, "
                 f"got {seq.kind.name!r}"
+            )
+        if seq.dim != dim:
+            raise ModelError(
+                f"{role} feature dim mismatch: model expects {kind!r} of width "
+                f"{dim}, got {seq.dim}"
             )
 
     # -- attention ---------------------------------------------------------
@@ -265,15 +272,6 @@ class S2VCModel:
 
     # -- full forward ------------------------------------------------------
 
-    def align_targets(self, src, tgts):
-        """``tgts`` at the frame rate of ``src``, checked to be one kind and
-        one speaker."""
-        if isinstance(tgts, FeatureSequence):
-            tgts = [tgts]
-        aligned = [align_frame_rate(s, src.fps) for s in tgts]
-        concat_target(aligned)  # validates kind/speaker homogeneity
-        return aligned
-
     def attend(self, src_h, tgt_encodings):
         """Condition the source encoding on the target encodings.
 
@@ -294,14 +292,21 @@ class S2VCModel:
     def forward(self, src, tgts, train=False, rng=None):
         """Run the conversion network.
 
-        ``src`` is one FeatureSequence, ``tgts`` a list of sequences from the
-        target speaker; returns (mel prediction Ts x mel_dim, AttentionTrace).
+        ``src`` is one FeatureSequence, ``tgts`` a non-empty list of
+        sequences from the target speaker, each aligned to the frame rate of
+        ``src``; returns (mel prediction Ts x mel_dim, AttentionTrace).
         """
-        aligned = self.align_targets(src, tgts)
+        if not isinstance(tgts, list) or not tgts:
+            raise ModelError("forward needs a non-empty list of target sequences")
+        speakers = sorted({s.speaker_id for s in tgts})
+        if len(speakers) > 1:
+            raise ModelError(f"target utterances mix speakers {speakers}")
         src_h = self.source_encode(src, train=train)
         # encode per utterance so conv padding never leaks across utterance
         # boundaries
-        tgt_encodings = [self.target_encode(s, train=train) for s in aligned]
+        tgt_encodings = [
+            self.target_encode(align_frame_rate(s, src.fps), train=train)
+            for s in tgts]
         h, trace = self.attend(src_h, tgt_encodings)
         return self.decode(h, train=train, rng=rng), trace
 

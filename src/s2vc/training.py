@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .dsp import MelConfig
-from .features import FeatureSequence, Manifest, load_feature_file
+from .features import FeatureSequence, Manifest
 from .model import ModelConfig, S2VCModel, load_checkpoint, save_checkpoint
 from .tensor import AdamW, GradTape, Tensor, clip_global_norm
 
@@ -117,20 +117,6 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0):
 
 # ---------------------------------------------------------------------------
 # dataset plumbing
-
-def _load_utterance(entry, source_kind, target_kind):
-    feats = {}
-    for kind in {source_kind, target_kind, "mel"}:
-        path = entry.features.get(kind)
-        if path is None:
-            raise TrainingError(
-                f"utterance {entry.utterance_id!r} is missing {kind!r} features")
-        seq = load_feature_file(path)
-        seq.utterance_id = entry.utterance_id
-        seq.speaker_id = entry.speaker_id
-        feats[kind] = seq
-    return feats
-
 
 def _crop(seq, start, length):
     t = seq.num_frames
@@ -234,8 +220,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
             idx = rng.integers(0, len(entries), size=cfg.batch_size)
             batch = []
             for i in idx:
-                feats = _load_utterance(entries[int(i)], cfg.model.source_feature_kind,
-                                        cfg.model.target_feature_kind)
+                feats = {kind: entries[int(i)].load(kind) for kind in needed}
                 batch.append(_make_item(feats, cfg, rng))
             t0 = time.monotonic()
             loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm)

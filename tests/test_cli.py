@@ -12,7 +12,8 @@ from s2vc import dsp
 from s2vc.cli import load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
-from s2vc.features import Manifest, extract_mel, load_feature_file, write_feature_file
+from s2vc.features import (FeatureSequence, Manifest, ManifestEntry, extract_mel,
+                           load_feature_file, resolve_kind, write_feature_file)
 from s2vc.model import S2VCModel, read_trace, save_checkpoint
 from conftest import malform_container, open_half_written
 from test_dsp import _reference_resample
@@ -35,6 +36,56 @@ def tiny_checkpoint(tmp_path_factory):
     save_checkpoint(S2VCModel(tiny_model_config(), seed=0), path,
                     mel_config=MelConfig())
     return path
+
+
+@pytest.fixture(scope="module")
+def ppg_checkpoint(tmp_path_factory):
+    """A tiny model whose targets are 40-dim ppg frames."""
+    path = tmp_path_factory.mktemp("ppg_ckpt") / "model.s2vc"
+    save_checkpoint(S2VCModel(tiny_model_config(target_feature_kind="ppg",
+                                                target_dim=40), seed=0),
+                    path, mel_config=MelConfig())
+    return path
+
+
+@pytest.fixture(scope="module")
+def ppg72_manifest(corpus_manifest, tmp_path_factory):
+    """The toy corpus with 72-dim ppg features next to its mel features."""
+    root = tmp_path_factory.mktemp("ppg72")
+    rng = np.random.default_rng(0)
+    entries = []
+    for e in Manifest.load(corpus_manifest).entries:
+        mel = e.load("mel")
+        ppg = FeatureSequence(resolve_kind("ppg", dim=72),
+                              rng.random((mel.num_frames, 72)).astype(np.float32),
+                              mel.fps, e.utterance_id, e.speaker_id)
+        path = root / f"{e.utterance_id}.ppg.s2vf"
+        write_feature_file(path, ppg)
+        entries.append(ManifestEntry(e.utterance_id, e.speaker_id,
+                                     features={**e.features, "ppg": str(path)}))
+    Manifest(entries).save(root / "manifest.jsonl")
+    return root / "manifest.jsonl"
+
+
+def truncated_manifest(corpus_manifest, root):
+    """The toy corpus with every mel feature file cut short by one frame."""
+    entries = []
+    for e in Manifest.load(corpus_manifest).entries:
+        path = root / Path(e.features["mel"]).name
+        path.write_bytes(Path(e.features["mel"]).read_bytes()[:-4 * 80])
+        entries.append(ManifestEntry(e.utterance_id, e.speaker_id,
+                                     features={"mel": str(path)}))
+    Manifest(entries).save(root / "manifest.jsonl")
+    return root / "manifest.jsonl"
+
+
+def assert_one_error_line(res, message):
+    """The command exited 1 with one ``error:`` line naming ``message``,
+    not with an uncaught exception."""
+    assert isinstance(res.exception, SystemExit) and res.exit_code == 1, res.exception
+    errors = [l for l in res.stderr.splitlines() if not l.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: "), res.stderr
+    assert message in errors[0]
 
 
 def write_tiny_config(path):
@@ -265,6 +316,16 @@ class TestTrain:
         assert (out / "checkpoint_final.s2vc").exists()
         assert "step 1 loss" in res.output
 
+    def test_truncated_feature_file_runtime_error(self, runner, corpus_manifest,
+                                                  tmp_path):
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        man = truncated_manifest(corpus_manifest, tmp_path)
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--manifest", str(man),
+                                   "--out-dir", str(tmp_path / "run"),
+                                   "--max-steps", "1"])
+        assert_one_error_line(res, "payload length mismatch")
+
 
 class TestConvert:
     def test_writes_wav_and_trace(self, runner, corpus_manifest, tiny_checkpoint,
@@ -333,6 +394,28 @@ class TestConvert:
         assert "error:" in res.stderr and "past the payload" in res.stderr
 
 
+    def test_target_width_mismatch_runtime_error(self, runner, ppg72_manifest,
+                                                 ppg_checkpoint, tmp_path):
+        by_spk = Manifest.load(ppg72_manifest).speakers()
+        res = runner.invoke(main, ["convert", str(ppg_checkpoint),
+                                   by_spk["spkA"][0].features["mel"],
+                                   by_spk["spkB"][0].features["ppg"],
+                                   "--out", str(tmp_path / "o.wav")])
+        assert_one_error_line(res, "dim mismatch")
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_mixed_target_speakers_runtime_error(self, runner, corpus_manifest,
+                                                 tiny_checkpoint, tmp_path):
+        by_spk = Manifest.load(corpus_manifest).speakers()
+        tgts = ([e.features["mel"] for e in by_spk["spkB"][:3]]
+                + [e.features["mel"] for e in by_spk["spkA"][1:3]])
+        res = runner.invoke(main, ["convert", str(tiny_checkpoint),
+                                   by_spk["spkA"][0].features["mel"], *tgts,
+                                   "--out", str(tmp_path / "o.wav")])
+        assert_one_error_line(res, "mix speakers")
+        assert not (tmp_path / "o.wav").exists()
+
+
 class TestEval:
     def test_report_schema(self, runner, corpus_manifest, tiny_checkpoint,
                            tmp_path):
@@ -376,6 +459,13 @@ class TestEval:
         assert "['spkD']" in res.stderr
 
 
+    def test_target_width_mismatch_runtime_error(self, runner, ppg72_manifest,
+                                                 ppg_checkpoint, tmp_path):
+        res = runner.invoke(main, ["eval", str(ppg_checkpoint), str(ppg72_manifest),
+                                   "--n-pairs", "2", "--out-dir", str(tmp_path)])
+        assert_one_error_line(res, "dim mismatch")
+
+
 class TestProbeCommand:
     def test_probe_json(self, runner, corpus_manifest, tiny_checkpoint, tmp_path):
         out_json = tmp_path / "probe.json"
@@ -401,6 +491,14 @@ class TestProbeCommand:
         assert [p.name for p in tmp_path.iterdir()] == [out_json.name]
 
 
+    def test_target_width_mismatch_runtime_error(self, runner, ppg72_manifest,
+                                                 ppg_checkpoint, tmp_path):
+        res = runner.invoke(main, ["probe", str(ppg_checkpoint), str(ppg72_manifest),
+                                   "--site", "K", "--out", str(tmp_path / "p.json")])
+        assert_one_error_line(res, "dim mismatch")
+        assert not (tmp_path / "p.json").exists()
+
+
 class TestAblate:
     def test_grid_and_skip(self, runner, corpus_manifest, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
@@ -418,3 +516,13 @@ class TestAblate:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
         assert res.output.count("skipping") == 7
+
+    def test_truncated_feature_file_runtime_error(self, runner, corpus_manifest,
+                                                  tmp_path):
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        man = truncated_manifest(corpus_manifest, tmp_path)
+        res = runner.invoke(main, ["ablate", "--config", str(cfg),
+                                   "--manifest", str(man),
+                                   "--out-dir", str(tmp_path / "abl"),
+                                   "--max-steps", "1", "--n-pairs", "2"])
+        assert_one_error_line(res, "payload length mismatch")

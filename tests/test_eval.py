@@ -248,8 +248,8 @@ def _probe_reference(model, manifest, site, seed, max_pairs, frames_per_pair,
         src = by_speaker[s1][int(rng.integers(len(by_speaker[s1])))]
         tgt = by_speaker[s2][int(rng.integers(len(by_speaker[s2])))]
         _, trace = model.forward(
-            evaluate._load_seq(src, model.config.source_feature_kind),
-            [evaluate._load_seq(tgt, model.config.target_feature_kind)])
+            src.load(model.config.source_feature_kind),
+            [tgt.load(model.config.target_feature_kind)])
         mat = {"Q": trace.q, "K": trace.k, "V": trace.v}[site]
         take = min(frames_per_pair, mat.shape[0])
         sel = rng.choice(mat.shape[0], size=take, replace=False)
@@ -321,8 +321,8 @@ def _run_eval_reference(model, manifest, scenario, n_pairs, seed, out_dir,
     tgt_kind = model.config.target_feature_kind
     scores, recon_l1 = [], []
     for pair in pairs:
-        src_seq = evaluate._load_seq(pair.source, src_kind)
-        tgts = [evaluate._load_seq(t, tgt_kind) for t in pair.targets]
+        src_seq = pair.source.load(src_kind)
+        tgts = [t.load(tgt_kind) for t in pair.targets]
         mel_pred, _ = model.forward(src_seq, tgts, train=False)
         conv_emb = embedder.embed(mel_pred.data)
         tgt_embs = np.stack([embedder.embed(mels[t.utterance_id][0])
@@ -330,7 +330,7 @@ def _run_eval_reference(model, manifest, scenario, n_pairs, seed, out_dir,
         centroid = tgt_embs.mean(axis=0)
         centroid /= np.linalg.norm(centroid)
         scores.append(cosine_similarity(conv_emb, centroid))
-        self_tgt = evaluate._load_seq(pair.source, tgt_kind)
+        self_tgt = pair.source.load(tgt_kind)
         self_pred, _ = model.forward(src_seq, [self_tgt], train=False)
         gt = mels[pair.source.utterance_id][0]
         t = min(self_pred.shape[0], gt.shape[0])

@@ -14,7 +14,6 @@ from s2vc.features import (
     Manifest,
     ManifestEntry,
     align_frame_rate,
-    concat_target,
     extract_mel,
     load_feature_file,
     resolve_kind,
@@ -170,32 +169,6 @@ class TestAlignFrameRate:
         np.testing.assert_array_equal(back.frames[0::2], frames[0::2])
 
 
-class TestConcatTarget:
-    def test_single_identity(self, rng):
-        seq = make_seq(rng.normal(size=(5, 256)).astype(np.float32))
-        assert concat_target([seq]) is seq
-
-    def test_order_preserved(self, rng):
-        a = make_seq(rng.normal(size=(3, 256)).astype(np.float32), utt="a")
-        b = make_seq(rng.normal(size=(4, 256)).astype(np.float32), utt="b")
-        out = concat_target([a, b])
-        assert out.num_frames == 7
-        assert out.utterance_id == "a+b"
-        np.testing.assert_array_equal(out.frames[:3], a.frames)
-
-    def test_mixed_speakers_error(self, rng):
-        a = make_seq(rng.normal(size=(3, 256)).astype(np.float32), spk="s1")
-        b = make_seq(rng.normal(size=(3, 256)).astype(np.float32), spk="s2")
-        with pytest.raises(FeatureError, match="speaker"):
-            concat_target([a, b])
-
-    def test_mixed_kinds_error(self, rng):
-        a = make_seq(rng.normal(size=(3, 256)).astype(np.float32), kind="cpc")
-        b = make_seq(rng.normal(size=(3, 512)).astype(np.float32), kind="apc")
-        with pytest.raises(FeatureError, match="kind"):
-            concat_target([a, b])
-
-
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         entries = [
@@ -214,6 +187,20 @@ class TestManifest:
         path.write_text('{"utterance_id": "u1", "speaker_id": "s1"}\nnot json\n')
         with pytest.raises(FeatureError, match=":2"):
             Manifest.load(path)
+
+    def test_entry_load_takes_ids_from_the_entry(self, tmp_path, rng):
+        frames = rng.normal(size=(6, 256)).astype(np.float32)
+        path = tmp_path / "file_stem.s2vf"
+        write_feature_file(path, make_seq(frames, utt="x", spk="header_spk"))
+        seq = ManifestEntry("u1", "s1", features={"cpc": str(path)}).load("cpc")
+        assert (seq.utterance_id, seq.speaker_id) == ("u1", "s1")
+        assert seq.kind.name == "cpc"
+        assert seq.frames.tobytes() == frames.tobytes()
+
+    def test_entry_load_missing_kind(self):
+        entry = ManifestEntry("u1", "s1", features={"mel": "u1.s2vf"})
+        with pytest.raises(FeatureError, match="'u1' has no 'cpc' features"):
+            entry.load("cpc")
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

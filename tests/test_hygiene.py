@@ -1,14 +1,20 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses
+or exports a name it does not define, and every function the traced
+benchmark wraps still exists.
 
-No linter is a declared dependency, so the check is an ``ast`` walk.
+No linter is a declared dependency, so the checks are ``ast`` walks.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "s2vc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "s2vc"
+BENCH_TRACE = ROOT / "bench" / "trace.py"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source):
@@ -49,6 +55,69 @@ def test_checker_sees_reads_and_exports():
     assert unused_imports(source) == [(2, "os"), (4, "dumps"), (5, "T")]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def undefined_exports(source):
+    """Sorted names of the module-level ``__all__`` that ``source`` never
+    binds at module level."""
+    bound, exports = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exports = ast.literal_eval(node.value)
+    return sorted(set(exports) - bound)
+
+
+def test_export_checker_sees_every_binding():
+    source = ("import numpy as np\n"
+              "from json import dumps\n"
+              "A, (B, C) = 1, (2, 3)\n"
+              "D: int = 4\n"
+              "def f(): pass\n"
+              "class K: pass\n"
+              "if True:\n"
+              "    hidden = 5\n"
+              "__all__ = ['np', 'dumps', 'A', 'C', 'D', 'f', 'K', 'hidden', 'gone']\n")
+    assert undefined_exports(source) == ["gone", "hidden"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_defined(module):
+    assert undefined_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def traced_names():
+    """The dotted names bench/trace.py wraps, read without importing it."""
+    lists = {}
+    for node in ast.parse(BENCH_TRACE.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED"):
+                    lists[t.id] = ast.literal_eval(node.value)
+    assert sorted(lists) == ["COUNTED", "TIMED"] and all(lists.values())
+    return lists["TIMED"] + lists["COUNTED"]
+
+
+def test_traced_names_resolve():
+    """A refactor that drops a function the traced benchmark times fails
+    here instead of in ``bench/run.py --trace 1``."""
+    missing = []
+    for name in traced_names():
+        module, *path = name.split(".")
+        owner = importlib.import_module(f"s2vc.{module}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(name)
+    assert missing == []

@@ -318,6 +318,36 @@ class TestForward:
         b, _ = tiny_model.forward(src, [tgt])
         assert a.data.tobytes() == b.data.tobytes()
 
+    def test_mixed_target_speakers_rejected(self, tiny_model, rng):
+        tgts = [mel_seq(rng, 5, utt="t1", spk="s2"), mel_seq(rng, 5, utt="t2", spk="s3")]
+        with pytest.raises(ModelError, match="mix speakers"):
+            tiny_model.forward(mel_seq(rng, 4, spk="s1"), tgts)
+
+    def test_targets_must_be_a_nonempty_list(self, tiny_model, rng):
+        src = mel_seq(rng, 4, spk="s1")
+        for tgts in ([], mel_seq(rng, 5)):
+            with pytest.raises(ModelError, match="non-empty list"):
+                tiny_model.forward(src, tgts)
+
+    def test_target_kind_mismatch_rejected(self, tiny_model, rng):
+        tgt = FeatureSequence(resolve_kind("cpc"),
+                              rng.normal(size=(5, 256)).astype(np.float32), 100.0)
+        with pytest.raises(ModelError, match="target feature kind mismatch"):
+            tiny_model.forward(mel_seq(rng, 4), [tgt])
+
+    def test_target_width_checked_against_the_config(self, rng):
+        model = S2VCModel(tiny_model_config(target_feature_kind="ppg", target_dim=40),
+                          seed=0)
+
+        def ppg(dim):
+            return FeatureSequence(resolve_kind("ppg", dim=dim),
+                                   rng.normal(size=(6, dim)).astype(np.float32), 100.0)
+
+        mel, _ = model.forward(mel_seq(rng, 4), [ppg(40)])
+        assert mel.shape == (4, 80)
+        with pytest.raises(ModelError, match="target feature dim mismatch.* 40, got 72"):
+            model.forward(mel_seq(rng, 4), [ppg(72)])
+
     def test_instance_norm_invariant_on_qk(self, rng):
         model = S2VCModel(tiny_model_config(use_bottleneck=False), seed=5)
         src = mel_seq(rng, 10, spk="s1")
