@@ -193,7 +193,7 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
 def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
               target_kind, ablation, resume, show_config):
     """Train a model by self-reconstruction."""
-    from . import training
+    from . import model as model_mod, training
 
     overrides = {
         "train.manifest": manifest,
@@ -224,7 +224,8 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
         path = training.run_training(cfg, resume_from=resume,
                                      log_fn=lambda l: click.echo(
                                          f"step {l['step']} loss {l['loss']:.4f}"))
-    except (training.TrainingError, features.FeatureError) as e:
+    except (training.TrainingError, model_mod.ModelError, features.FeatureError,
+            OSError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(f"final checkpoint: {path}")
 
@@ -249,6 +250,10 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
     if len(targets) < 5:
         click.echo(f"warning: only {len(targets)} target utterances "
                    "(five is the standard protocol)", err=True)
+    for out_path in filter(None, (out_wav, dump_trace)):
+        if not Path(out_path).parent.is_dir():
+            _fail(f"output directory not found: {Path(out_path).parent}",
+                  EXIT_USAGE)
     try:
         mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
         src = features.load_feature_file(source)
@@ -257,7 +262,7 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
         dsp.write_wav(out_wav, audio)
         if dump_trace:
             model_mod.write_trace(dump_trace, trace)
-    except (model_mod.ModelError, features.FeatureError, dsp.DspError) as e:
+    except (model_mod.ModelError, features.FeatureError, dsp.DspError, OSError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(f"wrote {out_wav}")
 
@@ -282,7 +287,8 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
         result = evaluate.run_eval(mdl, manifest, scenario, n_pairs,
                                    _global_seed(seed), out_dir,
                                    train_speakers=extra.get("train_speakers"))
-    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError) as e:
+    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError,
+            OSError) as e:
         _fail(str(e), EXIT_RUNTIME)
     click.echo(json.dumps(result, indent=2, sort_keys=True))
 
@@ -308,7 +314,10 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
         _fail(str(e), EXIT_RUNTIME)
     text = json.dumps(res.to_dict(), indent=2, sort_keys=True)
     if out_json:
-        dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
+        try:
+            dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
+        except OSError as e:
+            _fail(str(e), EXIT_RUNTIME)
     click.echo(text)
 
 

@@ -9,6 +9,9 @@ across configurations with shared seeds and pair samples are.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,6 +144,37 @@ def _target_encodings(model, src, entries, cache):
     return [cache[(e.utterance_id, src.fps)] for e in entries]
 
 
+def _convert_pairs(model, pairs, mels):
+    """Every pair's converted mel, in pair order, and the self-reconstruction
+    L1 of each distinct source: (list of arrays, source utterance id -> L1).
+    """
+    converted = [None] * len(pairs)
+    recon_by_src = {}
+    by_target = {}
+    for i, pair in enumerate(pairs):
+        by_target.setdefault(pair.targets[0].speaker_id, []).append(i)
+    for indices in by_target.values():
+        encoded = {}    # this target speaker's utterances only
+        for i in indices:
+            pair = pairs[i]
+            src_seq = pair.source.load(model.config.source_feature_kind)
+            tgt_encodings = _target_encodings(model, src_seq, pair.targets, encoded)
+            src_h = model.source_encode(src_seq)
+            h, _ = model.attend(src_h, tgt_encodings)
+            converted[i] = model.decode(h).data
+
+            # quality proxy: self-reconstruction error on the source utterance
+            utt = pair.source.utterance_id
+            if utt not in recon_by_src:
+                h, _ = model.attend(src_h, _target_encodings(model, src_seq,
+                                                             [pair.source], {}))
+                self_pred = model.decode(h).data
+                gt = mels[utt][0]
+                t = min(self_pred.shape[0], gt.shape[0])
+                recon_by_src[utt] = float(np.mean(np.abs(self_pred[:t] - gt[:t])))
+    return converted, recon_by_src
+
+
 def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
              pairs=None, train_speakers=None):
     """Objective evaluation of ``model``; writes report.json and report.txt
@@ -153,7 +187,8 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     Each utterance is embedded once, each pair's source is encoded once for
     both of its forwards, and each distinct source is self-reconstructed
     once.  Pairs run grouped by target speaker, so target encodings are
-    cached for one speaker at a time; results keep the sampled pair order
+    cached for one speaker at a time; results keep the sampled pair order.
+    Without ``embedder``, one forked child trains it while the pairs convert
     (docs/eval.md).
     """
     out_dir = Path(out_dir)
@@ -162,41 +197,25 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
         pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
                              train_speakers=train_speakers)
     mels = load_mels(manifest)
-    if embedder is None:
-        embedder = train_speaker_embedder(list(mels.values()), seed=seed)
+    child = _EmbedderChild(mels, seed) if embedder is None else None
+    try:
+        converted, recon_by_src = _convert_pairs(model, pairs, mels)
+        if child is not None:
+            embedder = child.result()
+    finally:
+        if child is not None:
+            child.close()
+
     embs, by_spk = {}, {}
     for utt, (frames, spk) in mels.items():
         embs[utt] = embedder.embed(frames)
         by_spk.setdefault(spk, []).append(embs[utt])
     threshold, eer = calibrate_threshold(by_spk, seed=seed)
-
-    scores = [None] * len(pairs)
-    recon_by_src = {}   # source utterance id -> self-reconstruction L1
-    by_target = {}
-    for i, pair in enumerate(pairs):
-        by_target.setdefault(pair.targets[0].speaker_id, []).append(i)
-    for indices in by_target.values():
-        encoded = {}    # this target speaker's utterances only
-        for i in indices:
-            pair = pairs[i]
-            src_seq = pair.source.load(model.config.source_feature_kind)
-            tgt_encodings = _target_encodings(model, src_seq, pair.targets, encoded)
-            src_h = model.source_encode(src_seq)
-            h, _ = model.attend(src_h, tgt_encodings)
-            conv_emb = embedder.embed(model.decode(h).data)
-            centroid = np.stack([embs[t.utterance_id] for t in pair.targets]).mean(axis=0)
-            centroid /= np.linalg.norm(centroid)
-            scores[i] = cosine_similarity(conv_emb, centroid)
-
-            # quality proxy: self-reconstruction error on the source utterance
-            utt = pair.source.utterance_id
-            if utt not in recon_by_src:
-                h, _ = model.attend(src_h, _target_encodings(model, src_seq,
-                                                             [pair.source], {}))
-                self_pred = model.decode(h).data
-                gt = mels[utt][0]
-                t = min(self_pred.shape[0], gt.shape[0])
-                recon_by_src[utt] = float(np.mean(np.abs(self_pred[:t] - gt[:t])))
+    scores = []
+    for pair, mel in zip(pairs, converted):
+        centroid = np.stack([embs[t.utterance_id] for t in pair.targets]).mean(axis=0)
+        centroid /= np.linalg.norm(centroid)
+        scores.append(cosine_similarity(embedder.embed(mel), centroid))
     recon_l1 = [recon_by_src[p.source.utterance_id] for p in pairs]
 
     result = {
@@ -277,6 +296,65 @@ def train_speaker_embedder(utterances, steps=300, lr=1e-3, seed=0, mel_dim=80):
             tape.backward(loss)
         opt.step()
     return emb
+
+
+class _EmbedderChild:
+    """``train_speaker_embedder(list(mels.values()), seed=seed)`` in a forked
+    child process, which pickles ``(ok, embedder or exception)`` into a pipe.
+
+    Call ``result`` for the embedder, and ``close`` in every case: it kills
+    and reaps the child unless ``result`` already reaped it.
+    """
+
+    def __init__(self, mels, seed):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    result = (True, train_speaker_embedder(list(mels.values()),
+                                                            seed=seed))
+                except Exception as e:
+                    result = (False, e)
+                with open(write_fd, "wb") as fh:
+                    fh.write(pickle.dumps(result))
+                status = 0
+            finally:
+                os._exit(status)   # never return into the caller's stack
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def result(self):
+        """The trained embedder, or the child's exception raised here.
+
+        The pipe is read to EOF before the child is reaped: the pickled
+        embedder outgrows the pipe buffer, so a child blocked on its write
+        would never exit.
+        """
+        payload = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise EvalError(f"speaker embedder process exited with status {code}")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def cosine_similarity(a, b):

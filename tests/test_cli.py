@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from s2vc import dsp
-from s2vc.cli import load_config_file, main, resolve_train_config
+from s2vc.cli import EXIT_USAGE, load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
 from s2vc.features import (FeatureSequence, Manifest, ManifestEntry, extract_mel,
@@ -486,7 +486,7 @@ class TestProbeCommand:
                                    str(corpus_manifest), "--site", "Q",
                                    "--seed", "0", "--out", str(out_json)])
         monkeypatch.undo()
-        assert isinstance(res.exception, OSError), res.output
+        assert_one_error_line(res, "No space left on device")
         assert out_json.read_text() == '{"site": "K"}\n'
         assert [p.name for p in tmp_path.iterdir()] == [out_json.name]
 
@@ -526,3 +526,69 @@ class TestAblate:
                                    "--out-dir", str(tmp_path / "abl"),
                                    "--max-steps", "1", "--n-pairs", "2"])
         assert_one_error_line(res, "payload length mismatch")
+
+
+def fault_args(case, tmp_path, corpus_manifest, checkpoint):
+    """The command line of one case of TestFaultMatrix."""
+    if case.startswith("train"):
+        resume = tmp_path / "resume.s2vc"
+        if case == "train --resume 4-byte file":
+            resume.write_bytes(b"S2VC")
+        return ["train", "--config", str(write_tiny_config(tmp_path / "c.cfg")),
+                "--manifest", str(corpus_manifest), "--out-dir", str(tmp_path / "run"),
+                "--max-steps", "1", "--resume", str(resume)]
+    missing_dir = tmp_path / "nope"
+    by_spk = Manifest.load(corpus_manifest).speakers()
+    convert = ["convert", str(checkpoint), by_spk["spkA"][0].features["mel"],
+               *[e.features["mel"] for e in by_spk["spkB"][:5]], "--gl-iters", "2"]
+    if case == "convert --out into a missing dir":
+        return [*convert, "--out", str(missing_dir / "o.wav")]
+    if case == "convert --out onto a directory":
+        return [*convert, "--out", str(tmp_path)]
+    if case == "convert --dump-trace into a missing dir":
+        return [*convert, "--out", str(tmp_path / "o.wav"),
+                "--dump-trace", str(missing_dir / "t.s2vt")]
+    if case == "probe --out into a missing dir":
+        return ["probe", str(checkpoint), str(corpus_manifest), "--site", "Q",
+                "--out", str(missing_dir / "p.json")]
+    assert case == "eval --out-dir under a file"
+    (tmp_path / "file").write_text("")
+    return ["eval", str(checkpoint), str(corpus_manifest), "--n-pairs", "2",
+            "--out-dir", str(tmp_path / "file" / "eval")]
+
+
+class TestFaultMatrix:
+    """A bad input or output path gives one ``error:`` line and the documented
+    exit code: no traceback, no temp file left behind, and a usage error is
+    caught before the checkpoint is loaded."""
+
+    CASES = {   # case -> (exit code, text of the error line)
+        "train --resume 4-byte file": (1, "bad magic"),
+        "train --resume missing file": (1, "No such file"),
+        "convert --out into a missing dir": (2, "output directory not found"),
+        "convert --dump-trace into a missing dir": (2, "output directory not found"),
+        "convert --out onto a directory": (1, "Is a directory"),
+        "probe --out into a missing dir": (1, "No such file"),
+        "eval --out-dir under a file": (1, "Not a directory"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_error_line(self, case, runner, corpus_manifest, tiny_checkpoint,
+                            tmp_path, monkeypatch):
+        code, message = self.CASES[case]
+        args = fault_args(case, tmp_path, corpus_manifest, tiny_checkpoint)
+        if code == EXIT_USAGE:
+            from s2vc import model
+
+            monkeypatch.setattr(model, "load_checkpoint", pytest.fail)
+        if args[0] == "eval":   # the out dir is made before the embedder forks
+            monkeypatch.setattr(os, "fork", pytest.fail)
+        res = runner.invoke(main, args)
+        monkeypatch.undo()
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == code, res.output
+        assert "Traceback" not in res.output
+        errors = [l for l in res.stderr.splitlines() if not l.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: "), res.stderr
+        assert message in errors[0]
+        assert list(tmp_path.rglob("*.tmp")) == []

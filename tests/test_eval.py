@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 from itertools import groupby
 
 import numpy as np
@@ -343,6 +346,25 @@ def _run_eval_reference(model, manifest, scenario, n_pairs, seed, out_dir,
     return result
 
 
+@pytest.fixture
+def forks_within_60s():
+    """Fails a run_eval that hangs on its embedder child instead of hanging
+    the suite, then checks that no child process is left."""
+    def timeout(signum, frame):
+        raise TimeoutError("run_eval took over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("forks_within_60s")
 class TestRunEval:
     @pytest.mark.parametrize("scenario", ["s2s", "u2u"])
     def test_matches_per_pair_forwards(self, scenario, four_speaker_manifest,
@@ -390,6 +412,56 @@ class TestRunEval:
         sources = len({p.source.utterance_id for p in pairs})
         assert per_group < 5 * len(pairs)  # the bound below saves work
         assert calls["target_encode"] <= per_group + sources
+
+
+@pytest.mark.usefixtures("forks_within_60s")
+class TestEmbedderChild:
+    """run_eval trains the embedder in a forked child; whatever happens, the
+    child is gone when run_eval returns or raises."""
+
+    @pytest.fixture
+    def run(self, four_speaker_manifest, tiny_model, tmp_path):
+        man = Manifest.load(four_speaker_manifest)
+        return lambda **kwargs: evaluate.run_eval(tiny_model, man, "s2s", 4, 0,
+                                                  tmp_path, **kwargs)
+
+    def test_child_eval_error_reaches_caller(self, run, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EvalError(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(evaluate, "train_speaker_embedder", fail)
+        with pytest.raises(EvalError, match="raised in process") as info:
+            run()
+        assert str(info.value) != f"raised in process {os.getpid()}"
+
+    def test_child_exit_without_result_names_status(self, run, monkeypatch):
+        monkeypatch.setattr(evaluate, "train_speaker_embedder",
+                            lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(EvalError, match="status 3"):
+            run()
+
+    def test_parent_error_kills_child(self, run, monkeypatch):
+        decode = S2VCModel.decode
+        calls = []
+
+        def fail_second(self, h):
+            calls.append(h)
+            if len(calls) == 2:
+                raise RuntimeError("decode failed")
+            return decode(self, h)
+
+        monkeypatch.setattr(evaluate, "train_speaker_embedder",
+                            lambda *args, **kwargs: time.sleep(60))
+        monkeypatch.setattr(S2VCModel, "decode", fail_second)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="decode failed"):
+            run()
+        assert time.monotonic() - start < 30   # killed, not waited for
+
+    def test_given_embedder_forks_nothing(self, run, mels, monkeypatch):
+        embedder = train_speaker_embedder(mels, steps=5, seed=0)
+        monkeypatch.setattr(os, "fork", pytest.fail)
+        assert run(embedder=embedder)["n_pairs"] == 4
 
 
 class TestAttend:
