@@ -150,7 +150,10 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
     if not wav_dir.is_dir():
         _fail(f"wav directory not found: {wav_dir}", EXIT_USAGE)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        _fail(str(e), EXIT_RUNTIME)
     manifest_path = Path(manifest) if manifest else out / "manifest.jsonl"
 
     entries = []
@@ -345,8 +348,10 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     if not Path(manifest).exists():
         _fail(f"manifest not found: {manifest}", EXIT_USAGE)
 
+    out = Path(out_dir)
     rows = []
     try:
+        out.mkdir(parents=True, exist_ok=True)
         man = Manifest.load(manifest)
         pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=seed)
         embedder = evaluate.train_speaker_embedder(
@@ -366,13 +371,11 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
             result = evaluate.run_eval(mdl, man, "s2s", n_pairs, seed, run_dir,
                                        embedder=embedder, pairs=pairs)
             rows.append({"row": f"({row})", "name": name, **result})
-    except (training.TrainingError, evaluate.EvalError, features.FeatureError) as e:
+        evaluate.render_report(rows, out / "ablation_report.json",
+                               out / "ablation_report.txt")
+    except (training.TrainingError, evaluate.EvalError, features.FeatureError,
+            model_mod.ModelError, OSError) as e:
         _fail(str(e), EXIT_RUNTIME)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    evaluate.render_report(rows, out / "ablation_report.json",
-                           out / "ablation_report.txt")
     click.echo(f"ablation grid written to {out / 'ablation_report.txt'}")
 
 

@@ -51,9 +51,9 @@ class CheckpointError(ModelError):
 
 
 # keys of older configs -> the only value the one fixed architecture matches:
-# a single cross-attention block, and the pooled target vector added to the
-# source encoding
-RETIRED_CONFIG_KEYS = {"n_attention_blocks": 1, "sap_strategy": "add"}
+# a single cross-attention block, the pooled target vector added to the
+# source encoding, and no dropout
+RETIRED_CONFIG_KEYS = {"n_attention_blocks": 1, "sap_strategy": "add", "dropout": 0.0}
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class ModelConfig:
     use_sap: bool = True
     use_cross_attention: bool = True
     mel_dim: int = 80
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.attn_bottleneck_dim > self.d_model:
@@ -190,14 +189,15 @@ class S2VCModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def source_encode(self, src, train=False):
+    def source_encode(self, src, train=False, bn_stats=None):
         cfg = self.config
         self._check_seq(src, cfg.source_feature_kind, cfg.resolved_source_dim(),
                         "source")
         h = Tensor(src.frames)
         for i in range(cfg.n_source_layers):
             h = nn.linear(self.params, f"src.{i}", h)
-            h = nn.batchnorm(self.params, self.buffers, f"src.{i}.bn", h, train)
+            h = nn.batchnorm(self.params, self.buffers, f"src.{i}.bn", h, train,
+                             bn_stats)
             if i < cfg.n_source_layers - 1:
                 h = T.relu(h)
         return h
@@ -263,11 +263,11 @@ class S2VCModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decode(self, h, train=False, rng=None):
+    def decode(self, h, train=False, bn_stats=None):
         cfg = self.config
         for i in range(cfg.n_decoder_conformer):
             h = nn.conformer_block(self.params, self.buffers, f"dec.{i}", h, cfg,
-                                   train=train, rng=rng)
+                                   train=train, bn_stats=bn_stats)
         return nn.linear(self.params, "dec.out", h)
 
     # -- full forward ------------------------------------------------------
@@ -289,26 +289,29 @@ class S2VCModel:
             trace.pooled_target = pooled.data.reshape(-1).astype(np.float32, copy=True)
         return h, trace
 
-    def forward(self, src, tgts, train=False, rng=None):
+    def forward(self, src, tgts, train=False, bn_stats=None):
         """Run the conversion network.
 
         ``src`` is one FeatureSequence, ``tgts`` a non-empty list of
         sequences from the target speaker, each aligned to the frame rate of
         ``src``; returns (mel prediction Ts x mel_dim, AttentionTrace).
+        In train mode a ``bn_stats`` list collects each batch norm's batch
+        statistics instead of their update of the running averages (see
+        ``nn.batchnorm``).
         """
         if not isinstance(tgts, list) or not tgts:
             raise ModelError("forward needs a non-empty list of target sequences")
         speakers = sorted({s.speaker_id for s in tgts})
         if len(speakers) > 1:
             raise ModelError(f"target utterances mix speakers {speakers}")
-        src_h = self.source_encode(src, train=train)
+        src_h = self.source_encode(src, train=train, bn_stats=bn_stats)
         # encode per utterance so conv padding never leaks across utterance
         # boundaries
         tgt_encodings = [
             self.target_encode(align_frame_rate(s, src.fps), train=train)
             for s in tgts]
         h, trace = self.attend(src_h, tgt_encodings)
-        return self.decode(h, train=train, rng=rng), trace
+        return self.decode(h, train=train, bn_stats=bn_stats), trace
 
     # -- parameter access --------------------------------------------------
 

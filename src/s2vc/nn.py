@@ -61,17 +61,33 @@ def init_batchnorm(params, buffers, name, dim, shape_only=False):
     buffers[f"{name}.running_var"] = _filled(1.0, (1, dim), shape_only, False)
 
 
-def batchnorm(params, buffers, name, x, train):
-    """Batch norm over the time axis of a T x C activation."""
-    gamma = params[f"{name}.gamma"]
-    beta = params[f"{name}.beta"]
+def update_running_stats(buffers, name, mu, var):
+    """Fold one batch's statistics into a batch norm's running averages."""
     rm = buffers[f"{name}.running_mean"]
     rv = buffers[f"{name}.running_var"]
+    rm.data[...] = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * mu
+    rv.data[...] = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * var
+
+
+def batchnorm(params, buffers, name, x, train, bn_stats=None):
+    """Batch norm over the time axis of a T x C activation.
+
+    Train mode normalizes with the batch statistics and folds them into the
+    running averages, or, given a ``bn_stats`` list, appends
+    ``(name, mu, var)`` to it for the caller to fold later with
+    ``update_running_stats``.  Eval mode normalizes with the running averages.
+    """
+    gamma = params[f"{name}.gamma"]
+    beta = params[f"{name}.beta"]
     if train:
         y, mu, var = T.batchnorm(x, gamma, beta, BN_EPS)
-        rm.data[...] = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * mu
-        rv.data[...] = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * var
+        if bn_stats is None:
+            update_running_stats(buffers, name, mu, var)
+        else:
+            bn_stats.append((name, mu, var))
         return y
+    rm = buffers[f"{name}.running_mean"]
+    rv = buffers[f"{name}.running_var"]
     return gamma * ((x - rm) / np.sqrt(rv.data + BN_EPS)) + beta
 
 
@@ -139,28 +155,22 @@ def init_conformer_block(params, buffers, name, cfg, rng):
     init_layernorm(params, f"{name}.final.ln", d, shape_only)
 
 
-def _ff(params, name, x, train, drop_rate, rng):
+def _ff(params, name, x):
     h = swish(linear(params, f"{name}.in", layer_norm(params, f"{name}.ln", x)))
-    if train:
-        h = T.dropout(h, drop_rate, rng)
     return linear(params, f"{name}.out", h)
 
 
-def conformer_block(params, buffers, name, x, cfg, train=False, rng=None):
+def conformer_block(params, buffers, name, x, cfg, train=False, bn_stats=None):
     """Pre-norm conformer: half-step FF, MHSA, conv module, half-step FF, LN."""
-    drop = cfg.dropout if train else 0.0
-    x = x + 0.5 * _ff(params, f"{name}.ff1", x, train, drop, rng)
+    x = x + 0.5 * _ff(params, f"{name}.ff1", x)
     attn_in = layer_norm(params, f"{name}.attn.ln", x)
     x = x + multi_head_self_attention(params, f"{name}.attn", attn_in, cfg.conformer_heads)
     c = layer_norm(params, f"{name}.conv.ln", x)
     c = glu(linear(params, f"{name}.conv.pw1", c))
     c = T.depthwise_conv1d(c, params[f"{name}.conv.dw.w"])
-    c = swish(batchnorm(params, buffers, f"{name}.conv.bn", c, train))
-    c = linear(params, f"{name}.conv.pw2", c)
-    if train:
-        c = T.dropout(c, drop, rng)
-    x = x + c
-    x = x + 0.5 * _ff(params, f"{name}.ff2", x, train, drop, rng)
+    c = swish(batchnorm(params, buffers, f"{name}.conv.bn", c, train, bn_stats))
+    x = x + linear(params, f"{name}.conv.pw2", c)
+    x = x + 0.5 * _ff(params, f"{name}.ff2", x)
     return layer_norm(params, f"{name}.final.ln", x)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "OptimizerError",
     "AdamW",
     "backward",
+    "accumulate_grad",
     "matmul",
     "linear",
     "transpose",
@@ -58,7 +59,6 @@ __all__ = [
     "cols",
     "conv1d",
     "depthwise_conv1d",
-    "dropout",
     "clip_global_norm",
 ]
 
@@ -199,7 +199,14 @@ class GradTape:
     def record(self, output, inputs, backward_fn):
         self._ops.append((output, inputs, backward_fn))
 
-    def backward(self, loss):
+    def backward(self, loss, accumulate=True):
+        """Reverse-mode pass from a scalar loss.
+
+        Returns ``(leaf, gradient)`` for every leaf on the tape that requires
+        a gradient, in the order the tape first met it; a leaf the loss does
+        not reach gets zeros.  Each gradient is also summed into its leaf's
+        ``.grad``, unless ``accumulate`` is False.
+        """
         if loss.data.size != 1:
             raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not self._ops:
@@ -223,19 +230,26 @@ class GradTape:
                 else:
                     grads[key] = ig
 
-        # populate leaf .grad buffers; untouched leaves on the tape get zeros
         leaves = {}
         for _, inputs, _ in self._ops:
             for t in inputs:
                 if t.requires_grad and id(t) not in produced:
                     leaves[id(t)] = t
-        for key, t in leaves.items():
-            acc = grads.get(key)
-            if acc is None:
-                acc = np.zeros_like(t.data)
-            t.grad = acc if t.grad is None else t.grad + acc
         # keep backrefs from leaking between steps
         self._ops = []
+        out = []
+        for key, t in leaves.items():
+            g = grads.get(key)
+            out.append((t, np.zeros_like(t.data) if g is None else g))
+        if accumulate:
+            for t, g in out:
+                accumulate_grad(t, g)
+        return out
+
+
+def accumulate_grad(t, g):
+    """Sum ``g`` into ``t.grad``: the one way leaf gradients are accumulated."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss, tape=None):
@@ -784,19 +798,6 @@ def depthwise_conv1d(x, w, b=None):
         return gx, gw, g.sum(axis=0) if b.requires_grad else None
 
     return _make(res, "depthwise_conv1d", inputs, bw)
-
-
-def dropout(x, rate, rng):
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    res = x.data * mask
-
-    def bw(g):
-        return (g * mask,)
-
-    return _make(res, "dropout", (x,), bw)
 
 
 # ---------------------------------------------------------------------------

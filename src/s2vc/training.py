@@ -3,17 +3,28 @@
 One utterance doubles as source input, target input, and reconstruction
 target.  Variable-length utterances are handled by gradient accumulation
 (one utterance per microstep) instead of padding and masking.
+
+A microstep is a pure function of the parameters and its utterance, so a
+step shares its microsteps out between the trainer and spawned worker
+processes, one per spare CPU, and folds every result in batch order: the
+parameters, buffers and optimizer state after a step are bit-identical
+whichever process computed each microstep.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, asdict, field, replace
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from . import tensor as T
 from .dsp import MelConfig
 from .features import FeatureSequence, Manifest
@@ -23,7 +34,11 @@ from .tensor import AdamW, GradTape, Tensor, clip_global_norm
 __all__ = [
     "TrainConfig",
     "TrainingError",
+    "MicrostepWorkers",
+    "spare_cpus",
     "reconstruction_loss",
+    "microstep",
+    "fold_microstep",
     "train_step",
     "run_training",
     "ablation_suite",
@@ -31,6 +46,8 @@ __all__ = [
 ]
 
 MAX_CROP_FRAMES = 512
+JOIN_TIMEOUT_S = 10.0
+_TRACKER = resource_tracker._resource_tracker
 
 
 class TrainingError(Exception):
@@ -86,33 +103,271 @@ class BatchItem:
     logmel: np.ndarray  # T x mel_dim ground truth
 
 
-def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0):
+def microstep(model, item, scale):
+    """One utterance's forward and backward pass; changes nothing in ``model``.
+
+    Returns ``(loss, grads, bn_stats)``: the utterance's reconstruction loss
+    times ``scale``, the gradient of that loss for each parameter on the
+    tape by name, and the ``(name, mu, var)`` of every batch norm in forward
+    order.
+    """
+    bn_stats = []
+    try:
+        with GradTape() as tape:
+            pred, _ = model.forward(item.source, [item.target], train=True,
+                                    bn_stats=bn_stats)
+            t = min(pred.shape[0], item.logmel.shape[0])
+            pred_t = T.rows(pred, 0, t) if t < pred.shape[0] else pred
+            target = Tensor(item.logmel[:t])
+            loss = reconstruction_loss(pred_t, target) * scale
+            leaf_grads = tape.backward(loss, accumulate=False)
+    except T.NumericError as e:
+        raise TrainingError(
+            f"non-finite loss on utterance {item.utterance_id!r}: {e}") from e
+    names = {id(p): k for k, p in model.params.items()}
+    return loss.item(), {names[id(t)]: g for t, g in leaf_grads}, bn_stats
+
+
+def fold_microstep(model, result):
+    """Sum a ``microstep`` result into ``model``; returns its loss.
+
+    Gradients go into each parameter's ``.grad`` and batch statistics into
+    the running averages, as the inline forward and backward would, so
+    folding a batch's results in batch order gives the same bits whichever
+    process computed each one.
+    """
+    loss, grads, bn_stats = result
+    for name, g in grads.items():
+        T.accumulate_grad(model.params[name], g)
+    for name, mu, var in bn_stats:
+        nn.update_running_stats(model.buffers, name, mu, var)
+    return loss
+
+
+def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
     """One optimization step over a list of BatchItems.
 
-    Returns the averaged loss value.  Gradients are accumulated one
-    utterance at a time, clipped by global norm, then applied with AdamW.
+    Returns the averaged loss value.  Each utterance is one ``microstep``.
+    This process computes them from the front of the batch; once ``workers``
+    (a MicrostepWorkers) has a ready worker, the items left are split into
+    contiguous shares, the first kept here and the later ones sent out.
+    Every result is folded in batch order.  The summed gradients are clipped
+    by global norm, then applied with AdamW.  ``rng`` is unused since the
+    model has no dropout; it stays for callers.
     """
     if not batch:
         raise TrainingError("empty batch")
+    if workers is None:
+        workers = MicrostepWorkers(model.config, 0)
     optimizer.zero_grad()
+    scale = 1.0 / len(batch)
     total = 0.0
-    for item in batch:
-        try:
-            with GradTape() as tape:
-                pred, _ = model.forward(item.source, [item.target], train=True,
-                                        rng=rng)
-                t = min(pred.shape[0], item.logmel.shape[0])
-                pred_t = T.rows(pred, 0, t) if t < pred.shape[0] else pred
-                target = Tensor(item.logmel[:t])
-                loss = reconstruction_loss(pred_t, target) * (1.0 / len(batch))
-                tape.backward(loss)
-        except T.NumericError as e:
-            raise TrainingError(
-                f"non-finite loss on utterance {item.utterance_id!r}: {e}") from e
-        total += loss.item() * len(batch)
+    own_end = len(batch)  # this process computes batch[:own_end]
+    i = 0
+    try:
+        while i < own_end:
+            if own_end == len(batch):  # nothing sent out yet
+                own_end = i + workers.dispatch(model, batch[i:], scale)
+            total += fold_microstep(model, microstep(model, batch[i], scale)) * len(batch)
+            i += 1
+    except BaseException:
+        workers.discard()
+        raise
+    for result in workers.results():
+        total += fold_microstep(model, result) * len(batch)
     clip_global_norm(model.params, clip_grad_norm)
     optimizer.step()
     return total / len(batch)
+
+
+# ---------------------------------------------------------------------------
+# microstep workers
+
+def spare_cpus():
+    """CPUs of this process's affinity mask that its own threads leave idle.
+
+    A multi-threaded BLAS starts its thread pool when it loads, and that pool
+    already keeps the other CPUs busy: a worker beside it slowed training.
+    """
+    return max(0, len(os.sched_getaffinity(0)) - len(os.listdir("/proc/self/task")))
+
+
+def _worker_main(conn, config):
+    """A worker's loop: answer each share of microsteps it is sent.
+
+    A task is ``(state arrays, items, scale)``.  Once the share is computed,
+    each item's result goes back as its own message, or the exception the
+    share raised ends the reply.  ``None`` or a closed pipe ends the loop.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the trainer handles ^C
+    try:
+        conn.send("ready")
+        while (task := conn.recv()) is not None:
+            state, items, scale = task
+            model = S2VCModel.from_state_arrays(config, state)
+            results = []
+            try:
+                for item in items:
+                    results.append(microstep(model, item, scale))
+            except Exception as e:  # reported to the trainer, which raises it
+                results.append(e)
+            del model, state
+            # sent only now: a send blocks while the trainer computes its share
+            for result in results:
+                conn.send(result)
+    except (EOFError, BrokenPipeError):
+        pass  # the trainer has gone
+
+
+class _Worker:
+    def __init__(self, ctx, config, cpu):
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child, config),
+                                name="s2vc-microsteps", daemon=True)
+        self.proc.start()
+        child.close()
+        os.sched_setaffinity(self.proc.pid, {cpu})
+        self.ready = False
+        self.pending = 0  # replies still to read for the share sent
+
+    def died(self):
+        self.proc.join(JOIN_TIMEOUT_S)
+        return TrainingError(f"microstep worker {self.proc.pid} exited with "
+                             f"status {self.proc.exitcode}")
+
+    def poll_ready(self):
+        """Whether the worker has started; never waits for it."""
+        if not self.ready and self.conn.poll():
+            try:
+                self.ready = self.conn.recv() == "ready"
+            except EOFError:
+                raise self.died() from None
+        return self.ready
+
+    def send(self, state, items, scale):
+        try:
+            self.conn.send((state, items, scale))
+        except BrokenPipeError:
+            raise self.died() from None
+        self.pending = len(items)
+
+    def recv(self):
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.pending = 0
+            raise self.died() from None
+        self.pending = 0 if isinstance(reply, Exception) else self.pending - 1
+        return reply
+
+    def stop(self):
+        if self.ready and not self.pending:
+            try:
+                self.conn.send(None)
+            except BrokenPipeError:
+                pass
+            self.proc.join(JOIN_TIMEOUT_S)
+        if self.proc.is_alive():  # still starting, or busy with a share
+            self.proc.terminate()
+            self.proc.join(JOIN_TIMEOUT_S)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join(JOIN_TIMEOUT_S)
+        self.conn.close()
+
+
+class MicrostepWorkers:
+    """Persistent spawned processes that compute microsteps for the trainer.
+
+    Each worker is sent the current parameter and buffer arrays and a
+    contiguous share of the batch, and builds a shape-only model around the
+    arrays.  A worker that has not reported ready is left out, so no step
+    waits for a worker to start.  A worker that dies raises TrainingError
+    with its exit status.  Use as a context manager, or call ``close``.
+
+    While there are workers, the calling thread and each worker are pinned
+    to one CPU each of the caller's affinity mask, which ``close`` restores:
+    left to the scheduler, a worker woken by the trainer's pipe write ran on
+    the trainer's CPU for the first second or so, at half speed for both.
+    """
+
+    def __init__(self, config, n_workers):
+        ctx = multiprocessing.get_context("spawn")
+        self._mask = os.sched_getaffinity(0)
+        cpus = sorted(self._mask)
+        # the first spawn starts multiprocessing's resource tracker process;
+        # ``close`` stops it again, so a run leaves no child process behind
+        self._own_tracker = n_workers > 0 and _TRACKER._fd is None
+        self._workers = []
+        try:
+            for i in range(n_workers):
+                self._workers.append(_Worker(ctx, config, cpus[(1 + i) % len(cpus)]))
+        except BaseException:
+            self.close()
+            raise
+        if self._workers:
+            os.sched_setaffinity(0, {cpus[0]})
+
+    def dispatch(self, model, items, scale):
+        """Send the later shares of ``items`` to the ready workers; returns
+        the length of the first share, which the trainer computes."""
+        ready = [w for w in self._workers if w.poll_ready()]
+        n_parts = min(1 + len(ready), len(items))
+        bounds = [len(items) * i // n_parts for i in range(n_parts + 1)]
+        if n_parts > 1:
+            state = model.state_arrays()
+            for w, lo, hi in zip(ready, bounds[1:-1], bounds[2:]):
+                w.send(state, items[lo:hi], scale)
+        return bounds[1]
+
+    def results(self):
+        """Yield the results of the shares ``dispatch`` sent, in batch order.
+
+        A share's exception is raised once every reply has been read.
+        """
+        error = None
+        for w in self._workers:
+            while w.pending:
+                reply = w.recv()
+                if isinstance(reply, Exception):
+                    error = error or reply
+                elif error is None:
+                    yield reply
+        if error is not None:
+            raise error
+
+    def discard(self):
+        """Read and drop the replies to the shares ``dispatch`` sent."""
+        for w in self._workers:
+            while w.pending:
+                w.recv()
+
+    def wait_ready(self, timeout):
+        """Wait up to ``timeout`` seconds for the workers to start; returns
+        how many have."""
+        deadline = time.monotonic() + timeout
+        for w in self._workers:
+            if not w.ready:
+                w.conn.poll(max(0.0, deadline - time.monotonic()))
+        return sum(w.poll_ready() for w in self._workers)
+
+    def close(self):
+        """Stop every worker, each within a bounded wait."""
+        if self._workers:
+            os.sched_setaffinity(0, self._mask)
+        for w in self._workers:
+            w.stop()
+        self._workers = []
+        if self._own_tracker:
+            _TRACKER._stop()
+            self._own_tracker = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +469,9 @@ def run_training(cfg, resume_from=None, log_fn=None):
                     break
                 keep_bytes += len(raw)
     entries = manifest.entries
-    with open(log_path, "a", encoding="utf-8") as log:
+    n_workers = min(spare_cpus(), cfg.batch_size - 1) if step < cfg.max_steps else 0
+    with open(log_path, "a", encoding="utf-8") as log, \
+            MicrostepWorkers(model.config, n_workers) as workers:
         log.truncate(keep_bytes)
         while step < cfg.max_steps:
             idx = rng.integers(0, len(entries), size=cfg.batch_size)
@@ -223,7 +480,8 @@ def run_training(cfg, resume_from=None, log_fn=None):
                 feats = {kind: entries[int(i)].load(kind) for kind in needed}
                 batch.append(_make_item(feats, cfg, rng))
             t0 = time.monotonic()
-            loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm)
+            loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm,
+                              workers=workers)
             step += 1
             line = {"step": step, "loss": loss, "lr": cfg.learning_rate,
                     "wall_ms": round((time.monotonic() - t0) * 1000.0, 3)}

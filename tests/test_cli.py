@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from s2vc import dsp
+from s2vc import dsp, evaluate
 from s2vc.cli import EXIT_USAGE, load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
@@ -211,6 +212,29 @@ class TestFeats:
 
 
 class TestTrain:
+    def test_worker_death_one_error_line(self, runner, corpus_manifest, tmp_path,
+                                         monkeypatch):
+        from s2vc import training
+
+        monkeypatch.setattr(training, "spare_cpus", lambda: 1)
+        real_step = training.train_step
+
+        def kill_worker(*args, workers, **kwargs):
+            assert workers.wait_ready(training.JOIN_TIMEOUT_S) == 1
+            for proc in multiprocessing.active_children():
+                proc.kill()
+                proc.join(training.JOIN_TIMEOUT_S)
+            return real_step(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", kill_worker)
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        cfg.write_text(cfg.read_text().replace("batch_size = 1", "batch_size = 2"))
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--manifest",
+                                   str(corpus_manifest), "--out-dir",
+                                   str(tmp_path / "run"), "--max-steps", "2"])
+        assert_one_error_line(res, "exited with status -9")
+        assert multiprocessing.active_children() == []
+
     def test_show_config_resolves_layers(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
         res = runner.invoke(main, ["train", "--config", str(cfg),
@@ -551,10 +575,17 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     if case == "probe --out into a missing dir":
         return ["probe", str(checkpoint), str(corpus_manifest), "--site", "Q",
                 "--out", str(missing_dir / "p.json")]
-    assert case == "eval --out-dir under a file"
     (tmp_path / "file").write_text("")
+    under_file = str(tmp_path / "file" / "out")
+    if case == "feats into an out dir under a file":
+        return ["feats", str(Path(corpus_manifest).parent / "wav"), under_file]
+    if case == "ablate --out-dir under a file":
+        return ["ablate", "--config", str(write_tiny_config(tmp_path / "c.cfg")),
+                "--manifest", str(corpus_manifest), "--out-dir", under_file,
+                "--max-steps", "1", "--n-pairs", "2"]
+    assert case == "eval --out-dir under a file"
     return ["eval", str(checkpoint), str(corpus_manifest), "--n-pairs", "2",
-            "--out-dir", str(tmp_path / "file" / "eval")]
+            "--out-dir", under_file]
 
 
 class TestFaultMatrix:
@@ -570,7 +601,13 @@ class TestFaultMatrix:
         "convert --out onto a directory": (1, "Is a directory"),
         "probe --out into a missing dir": (1, "No such file"),
         "eval --out-dir under a file": (1, "Not a directory"),
+        "feats into an out dir under a file": (1, "Not a directory"),
+        "ablate --out-dir under a file": (1, "Not a directory"),
     }
+    # the work each case must not start before it fails
+    EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child
+                 "feats": (dsp, "read_wav"),
+                 "ablate": (evaluate, "train_speaker_embedder")}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_one_error_line(self, case, runner, corpus_manifest, tiny_checkpoint,
@@ -581,8 +618,8 @@ class TestFaultMatrix:
             from s2vc import model
 
             monkeypatch.setattr(model, "load_checkpoint", pytest.fail)
-        if args[0] == "eval":   # the out dir is made before the embedder forks
-            monkeypatch.setattr(os, "fork", pytest.fail)
+        if args[0] in self.EXPENSIVE:   # the out dir is checked first
+            monkeypatch.setattr(*self.EXPENSIVE[args[0]], pytest.fail)
         res = runner.invoke(main, args)
         monkeypatch.undo()
         assert isinstance(res.exception, SystemExit), res.exception

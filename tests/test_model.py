@@ -264,14 +264,12 @@ class TestForward:
         # each layer is one fused op: the composite layers recorded 493 ops
         # here, the fused ones 117
         with CountingTape() as tape:
-            tiny_model.forward(mel_seq(rng, 30), [mel_seq(rng, 20)], train=True,
-                               rng=np.random.default_rng(0))
+            tiny_model.forward(mel_seq(rng, 30), [mel_seq(rng, 20)], train=True)
         assert tape.n_ops <= 130
 
     def test_train_mode_shapes(self, tiny_model, rng):
         src = mel_seq(rng, 12, spk="s1")
-        mel, trace = tiny_model.forward(src, [src], train=True,
-                                        rng=np.random.default_rng(0))
+        mel, trace = tiny_model.forward(src, [src], train=True)
         assert mel.shape == (12, 80)
         assert trace.pooled_target is not None
 
@@ -366,7 +364,7 @@ class TestArchitecture:
 
     def test_config_fields(self):
         names = {f.name for f in dataclasses.fields(ModelConfig)}
-        assert len(names) == 19
+        assert len(names) == 18
         assert not names & set(model_mod.RETIRED_CONFIG_KEYS)
 
     def test_parameter_counts(self):
@@ -400,8 +398,7 @@ class TestArchitecture:
                          for k, b in model.buffers.items()}
         utt = mel_seq(rng, 12, spk="s1")
         with GradTape() as tape:
-            pred, _ = model.forward(utt, [utt], train=True,
-                                    rng=np.random.default_rng(0))
+            pred, _ = model.forward(utt, [utt], train=True)
             loss = reconstruction_loss(pred, Tensor(utt.frames, dtype=np.float64))
             tape.backward(loss)
         max_grad = {k: float(np.abs(p.grad).max()) for k, p in model.params.items()}
@@ -430,7 +427,7 @@ def legacy_checkpoint(path, model, rng):
     for name, width in cancelled:
         arrays[f"param.{name}"] = rng.normal(scale=0.5, size=(1, width)).astype(np.float32)
     meta = {"model_config": {**cfg.to_dict(), "n_attention_blocks": 1,
-                             "sap_strategy": "add"},
+                             "sap_strategy": "add", "dropout": 0.0},
             "mel_config": dsp.MelConfig().to_dict()}
     path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC, meta, arrays))
 
@@ -464,7 +461,8 @@ class TestLegacyCheckpoint:
         np.testing.assert_allclose(got.data, expected.data, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("key,value", [("n_attention_blocks", 2),
-                                           ("sap_strategy", "concat_project")])
+                                           ("sap_strategy", "concat_project"),
+                                           ("dropout", 0.1)])
     def test_other_retired_value_rejected(self, key, value, tiny_model, tmp_path):
         path = tmp_path / "legacy.s2vc"
         meta = {"model_config": {**tiny_model.config.to_dict(), key: value},

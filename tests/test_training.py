@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,12 +9,14 @@ import pytest
 
 from s2vc import tensor as T
 from s2vc import training
-from s2vc.features import Manifest, load_feature_file
+from s2vc.features import FeatureSequence, Manifest, load_feature_file
 from s2vc.model import S2VCModel, load_checkpoint
 from s2vc.tensor import AdamW, ShapeError, Tensor
 from s2vc.training import (
     ABLATION_ROWS,
+    JOIN_TIMEOUT_S,
     BatchItem,
+    MicrostepWorkers,
     TrainConfig,
     TrainingError,
     ablation_suite,
@@ -45,6 +49,31 @@ def load_batch(manifest_path, model_cfg, n=2):
         seq = load_feature_file(e.features["mel"])
         batch.append(BatchItem(e.utterance_id, seq, seq, seq.frames))
     return batch
+
+
+def varied_batch(manifest_path, n):
+    """``n`` items cycling through the corpus, each of another length."""
+    entries = Manifest.load(manifest_path).entries
+    batch = []
+    for i in range(n):
+        e = entries[i % len(entries)]
+        seq = load_feature_file(e.features["mel"])
+        seq = FeatureSequence(seq.kind, seq.frames[:40 + 7 * i], seq.fps,
+                              seq.utterance_id, seq.speaker_id)
+        batch.append(BatchItem(e.utterance_id, seq, seq, seq.frames))
+    return batch
+
+
+def assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """run_training starts one worker, whatever the host's BLAS threads."""
+    monkeypatch.setattr(training, "spare_cpus", lambda: 1)
 
 
 class TestReconstructionLoss:
@@ -118,6 +147,51 @@ class TestTrainStep:
             train_step(model, batch, AdamW(model.params), np.random.default_rng(0))
 
 
+class TestSplitInvariance:
+    """A step gives the same bits whichever process computes each microstep."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_workers_match_sequential_step(self, n_workers, corpus_manifest):
+        cfg = tiny_model_config()
+        with MicrostepWorkers(cfg, n_workers) as workers:
+            assert workers.wait_ready(JOIN_TIMEOUT_S) == n_workers
+            for size in (1, 2, 3, 8):
+                batch = varied_batch(corpus_manifest, size)
+                runs = []
+                for w in (workers, None):
+                    model = S2VCModel(cfg, seed=5)
+                    opt = AdamW(model.params, lr=1e-3)
+                    losses = [train_step(model, batch, opt, np.random.default_rng(0),
+                                         workers=w) for _ in range(2)]
+                    arrays = dict(model.state_arrays())
+                    arrays.update({f"opt.m.{k}": v for k, v in opt.m.items()})
+                    arrays.update({f"opt.v.{k}": v for k, v in opt.v.items()})
+                    runs.append((losses, arrays))
+                (split_loss, split), (seq_loss, seq) = runs
+                assert split_loss == seq_loss, size
+                assert split.keys() == seq.keys()
+                for k in seq:
+                    np.testing.assert_array_equal(split[k], seq[k],
+                                                  err_msg=f"batch {size}: {k}")
+        assert_no_child_process()
+
+    def test_error_in_worker_share_names_utterance(self, corpus_manifest):
+        cfg = tiny_model_config()
+        batch = varied_batch(corpus_manifest, 2)
+        batch[1].logmel = np.full_like(batch[1].logmel, np.inf)
+        model = S2VCModel(cfg, seed=0)
+        with MicrostepWorkers(cfg, 1) as workers:
+            assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
+            with pytest.raises(TrainingError, match=batch[1].utterance_id):
+                train_step(model, batch, AdamW(model.params),
+                           np.random.default_rng(0), workers=workers)
+            # the worker answered and serves the next step
+            batch[1].logmel = batch[1].source.frames
+            assert np.isfinite(train_step(model, batch, AdamW(model.params),
+                                          np.random.default_rng(0), workers=workers))
+        assert_no_child_process()
+
+
 class TestRunTraining:
     def test_zero_steps_writes_checkpoints(self, corpus_manifest, tmp_path):
         cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=0)
@@ -129,14 +203,43 @@ class TestRunTraining:
         assert extra["train_speakers"] == ["spkA", "spkB"]
         assert mdl.config == cfg.model
 
+    def test_worker_run_matches_sequential_run(self, corpus_manifest, tmp_path,
+                                               monkeypatch):
+        real_step = training.train_step
+
+        def with_ready_worker(*args, workers, **kwargs):
+            assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
+            return real_step(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(training, "spare_cpus", lambda: 0)
+        sequential = run_training(tiny_cfg(corpus_manifest, tmp_path / "a", max_steps=3))
+        monkeypatch.setattr(training, "spare_cpus", lambda: 1)
+        monkeypatch.setattr(training, "train_step", with_ready_worker)
+        split = run_training(tiny_cfg(corpus_manifest, tmp_path / "b", max_steps=3))
+        assert_no_child_process()
+        logs = [[(r["step"], r["loss"]) for r in map(json.loads, (
+            path.parent / "train_log.jsonl").read_text().splitlines())]
+            for path in (sequential, split)]
+        assert logs[0] == logs[1] and len(logs[0]) == 3
+        # parameters, buffers, and the optimizer moments among the extra arrays
+        ma, _, _, xa = load_checkpoint(sequential)
+        mb, _, _, xb = load_checkpoint(split)
+        for a, b in ((ma.state_arrays(), mb.state_arrays()), (xa, xb)):
+            assert a.keys() == b.keys()
+            for k in a:
+                np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+    @pytest.mark.usefixtures("one_worker")
     def test_log_lines_written(self, corpus_manifest, tmp_path):
         cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=2)
         run_training(cfg)
+        assert_no_child_process()
         lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
         records = [json.loads(l) for l in lines]
         assert [r["step"] for r in records] == [1, 2]
         assert all(np.isfinite(r["loss"]) for r in records)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_log_survives_failed_step(self, corpus_manifest, tmp_path,
                                       monkeypatch):
         real_step = training.train_step
@@ -152,6 +255,32 @@ class TestRunTraining:
         cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=4)
         with pytest.raises(TrainingError, match="step 3"):
             run_training(cfg)
+        assert_no_child_process()
+        lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+        assert [json.loads(l)["step"] for l in lines] == [1, 2]
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_non_finite_loss_in_worker_share(self, corpus_manifest, tmp_path,
+                                             monkeypatch):
+        real_step = training.train_step
+        poisoned = []
+
+        def poison_third(model, batch, *args, workers, **kwargs):
+            if len(poisoned) < 2:
+                poisoned.append(None)
+            else:
+                # the worker computes the second half of a batch of two
+                assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
+                batch[1].logmel = np.full_like(batch[1].logmel, np.inf)
+                poisoned.append(batch[1].utterance_id)
+            return real_step(model, batch, *args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", poison_third)
+        cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=4)
+        with pytest.raises(TrainingError, match="non-finite loss") as info:
+            run_training(cfg)
+        assert repr(poisoned[2]) in str(info.value)
+        assert_no_child_process()
         lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
         assert [json.loads(l)["step"] for l in lines] == [1, 2]
 
