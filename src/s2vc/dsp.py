@@ -10,6 +10,7 @@ Internals run in float64; public matrices come back as float32.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -17,6 +18,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .cpus import SERIAL
 
 __all__ = [
     "AudioBuffer",
@@ -278,41 +281,77 @@ def _frame_count(n_samples, cfg):
     return 1 + (n_samples - cfg.win_length) // cfg.hop_length
 
 
+def _spectra(samples, window, cfg, lo, hi, framed=None, out=None):
+    """The rfft of the windowed frames ``lo`` to ``hi - 1`` of ``samples``,
+    through the windowed frames ``framed`` into ``out`` when they are given."""
+    hop = cfg.hop_length
+    frames = sliding_window_view(samples, cfg.win_length)[lo * hop:hi * hop:hop]
+    framed = np.multiply(frames, window, out=framed)
+    return np.fft.rfft(framed, n=cfg.n_fft, axis=1, out=out)
+
+
+def _overlap_add(frames, window, hop, out, products, lo=0):
+    """Add the overlap-add of ``frames * window`` onto ``out``, whose rows
+    are the hop-sized blocks from block ``lo`` on: chunk ``c`` of every
+    frame lands on the block ``c`` hops after the frame's first.
+    ``products`` is scratch of the shape of ``out``.
+
+    Taking the chunks in descending order adds each sample's frames in
+    ascending frame order, the order of a frame-by-frame loop, so the sums
+    are bit-for-bit the same, whatever the block range.
+    """
+    t_len, win = frames.shape
+    hi = lo + len(out)
+    for c in reversed(range(-(-win // hop))):
+        first, last = max(lo, c), min(hi, c + t_len)  # the blocks chunk c reaches
+        if first < last:
+            w_lo, w_hi = c * hop, min((c + 1) * hop, win)
+            rows, cols = slice(first - lo, last - lo), slice(0, w_hi - w_lo)
+            np.multiply(frames[first - c:last - c, w_lo:w_hi], window[w_lo:w_hi],
+                        out=products[rows, cols])
+            out[rows, cols] += products[rows, cols]
+
+
+class _Synthesis:
+    """The squared-window normalization of the overlap-add of ``t_len``
+    frames, in whole hop-sized blocks."""
+
+    def __init__(self, t_len, window, hop):
+        self.window, self.hop = window, hop
+        self.n_blocks = t_len + -(-len(window) // hop) - 1
+        norm = np.zeros((self.n_blocks, hop))
+        _overlap_add(np.broadcast_to(window, (t_len, len(window))), window, hop,
+                     norm, np.empty_like(norm))
+        self.silent = norm <= 1e-10
+        self.divisor = np.maximum(norm, 1e-10)
+
+    def blocks(self, frames, out, products, lo=0):
+        """Write blocks ``lo`` to ``lo + len(out) - 1`` of the normalized
+        overlap-add of ``frames`` into ``out``."""
+        out.fill(0.0)
+        _overlap_add(frames, self.window, self.hop, out, products, lo)
+        out /= self.divisor[lo:lo + len(out)]
+        out[self.silent[lo:lo + len(out)]] = 0.0
+
+
 def stft(samples, cfg):
     """Hann-windowed STFT magnitudes-and-phases, center=false framing.
 
     Returns a complex T x (n_fft//2 + 1) matrix.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    _frame_count(len(samples), cfg)  # rejects a signal shorter than one window
-    window = np.hanning(cfg.win_length)
-    frames = sliding_window_view(samples, cfg.win_length)[::cfg.hop_length] * window
-    return np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    t_len = _frame_count(len(samples), cfg)  # rejects a signal shorter than one window
+    return _spectra(samples, np.hanning(cfg.win_length), cfg, 0, t_len)
 
 
 def istft(spec, cfg, n_samples=None):
-    """Weighted overlap-add inverse of ``stft`` (squared-window normalization).
-
-    The output is built in hop-sized blocks: chunk ``c`` of every frame is
-    added onto the block ``c`` hops after the frame's first.  Taking the
-    chunks in descending order adds each sample's frames in ascending frame
-    order, the order of a frame-by-frame loop, so the sums are bit-for-bit
-    the same.
-    """
-    t_len = spec.shape[0]
-    hop, win = cfg.hop_length, cfg.win_length
-    window = np.hanning(win)
-    total = (t_len - 1) * hop + win
-    n_chunks = -(-win // hop)
-    out = np.zeros((t_len + n_chunks - 1, hop), dtype=np.float64)
-    norm = np.zeros_like(out)
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)[:, :win]
-    for c in reversed(range(n_chunks)):
-        lo, hi = c * hop, min((c + 1) * hop, win)
-        out[c:c + t_len, :hi - lo] += frames[:, lo:hi] * window[lo:hi]
-        norm[c:c + t_len, :hi - lo] += window[lo:hi] * window[lo:hi]
-    out, norm = out.reshape(-1)[:total], norm.reshape(-1)[:total]
-    out = np.where(norm > 1e-10, out / np.maximum(norm, 1e-10), 0.0)
+    """Weighted overlap-add inverse of ``stft`` (squared-window normalization)."""
+    t_len, hop = spec.shape[0], cfg.hop_length
+    synthesis = _Synthesis(t_len, np.hanning(cfg.win_length), hop)
+    out = np.empty((synthesis.n_blocks, hop))
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)[:, :cfg.win_length]
+    synthesis.blocks(frames, out, np.empty_like(out))
+    out = out.reshape(-1)[:(t_len - 1) * hop + cfg.win_length]
     if n_samples is not None:
         out = out[:n_samples]
     return out
@@ -369,11 +408,16 @@ def mel_to_linear(log_mel_frames, cfg):
     return np.maximum(linear, 0.0)
 
 
-def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
+def griffin_lim(spec, cfg=None, n_iter=60, seed=0, shares=SERIAL):
     """Phase recovery from a log-mel spectrogram; returns peak-normalized audio.
 
     The per-iteration consistency residuals are attached to the returned
     buffer as ``buf.residuals`` for inspection.
+
+    Each iteration is split across ``shares`` twice: by frames for the
+    framing, transforms and rephasing, then by output blocks for the
+    overlap-add.  The residual is taken over all frames at once, so samples
+    and residuals are the same bits for any number of shares.
     """
     cfg = cfg or spec.config
     if spec.frames.ndim != 2 or spec.frames.shape[1] != cfg.n_mels:
@@ -382,15 +426,48 @@ def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
     target = mel_to_linear(spec.frames, cfg)
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.random(target.shape))
+    t_len, win, hop = target.shape[0], cfg.win_length, cfg.hop_length
+    window = np.hanning(win)
+    synthesis = _Synthesis(t_len, window, hop)
+    # Every array an iteration writes is allocated once: each share writes
+    # its own rows, and fresh temporaries of this size cost page faults.
+    framed = np.empty((t_len, win))
+    spectra = np.empty(target.shape, dtype=np.complex128)
+    mags = np.empty(target.shape)
+    scratch = np.empty(target.shape)
+    frames = np.empty((t_len, cfg.n_fft))
+    blocks = np.empty((synthesis.n_blocks, hop))
+    products = np.empty_like(blocks)
+    signal = blocks.reshape(-1)[:(t_len - 1) * hop + win]
+
+    def rephase(lo, hi):
+        """Frames ``lo`` to ``hi - 1``: the STFT magnitudes of the signal into
+        ``mags``, and the inverse rfft of the target under their phase into
+        ``frames``."""
+        full = _spectra(signal, window, cfg, lo, hi, framed[lo:hi], spectra[lo:hi])
+        np.abs(full, out=mags[lo:hi])
+        np.divide(full, np.maximum(mags[lo:hi], 1e-12, out=scratch[lo:hi]), out=full)
+        np.multiply(target[lo:hi], full, out=full)
+        np.fft.irfft(full, n=cfg.n_fft, axis=1, out=frames[lo:hi])
+
+    def synthesize(lo, hi):
+        synthesis.blocks(frames[:, :win], blocks[lo:hi], products[lo:hi], lo)
+
     residuals = []
-    n_samples = (target.shape[0] - 1) * cfg.hop_length + cfg.win_length
-    signal = istft(target * phase, cfg, n_samples)
+
+    def residual():
+        np.subtract(mags, target, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        residuals.append(float(np.sqrt(scratch.sum())))
+
+    np.fft.irfft(target * phase, n=cfg.n_fft, axis=1, out=frames)
+    shares.rows(synthesis.n_blocks, synthesize)
+    synthesis_shares = [functools.partial(synthesize, lo, hi)
+                        for lo, hi in shares.ranges(synthesis.n_blocks)]
     for _ in range(n_iter):
-        full = stft(signal, cfg)
-        mags = np.abs(full)
-        residuals.append(float(np.sqrt(((mags - target) ** 2).sum())))
-        phase = full / np.maximum(mags, 1e-12)
-        signal = istft(target * phase, cfg, n_samples)
+        shares.rows(t_len, rephase)
+        # the residual runs on this thread, beside the synthesis
+        shares.run([residual, *synthesis_shares])
     peak = np.abs(signal).max()
     # do not amplify near-silence (an all-floor spectrogram stays silent)
     if peak > 1e-3:

@@ -20,6 +20,7 @@ import numpy as np
 from . import dsp
 from . import nn
 from . import tensor as T
+from .cpus import SERIAL
 from .features import align_frame_rate
 from .tensor import AdamW, GradTape, Tensor
 
@@ -119,13 +120,15 @@ def load_mels(manifest):
             for e in manifest.entries}
 
 
-def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
+def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60, shares=SERIAL):
     """Convert ``src`` toward the speaker of ``tgts`` (FeatureSequences);
-    returns (AudioBuffer, AttentionTrace, mel prediction)."""
+    returns (AudioBuffer, AttentionTrace, mel prediction).  The network and
+    Griffin-Lim split their row-wise work across ``shares``; the result is
+    the same bits for any number of shares."""
     mel_cfg = mel_cfg or dsp.MelConfig()
-    mel_pred, trace = model.forward(src, tgts, train=False)
+    mel_pred, trace = model.forward(src, tgts, train=False, shares=shares)
     spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32), config=mel_cfg)
-    audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter)
+    audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter, shares=shares)
     return audio, trace, mel_pred.data
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
+from .cpus import SERIAL
 from .dsp import MelConfig, write_atomic
 from .features import align_frame_rate, resolve_kind
 from .tensor import Tensor
@@ -189,26 +192,26 @@ class S2VCModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def source_encode(self, src, train=False, bn_stats=None):
+    def source_encode(self, src, train=False, bn_stats=None, shares=SERIAL):
         cfg = self.config
         self._check_seq(src, cfg.source_feature_kind, cfg.resolved_source_dim(),
                         "source")
         h = Tensor(src.frames)
         for i in range(cfg.n_source_layers):
-            h = nn.linear(self.params, f"src.{i}", h)
+            h = nn.linear(self.params, f"src.{i}", h, shares)
             h = nn.batchnorm(self.params, self.buffers, f"src.{i}.bn", h, train,
                              bn_stats)
             if i < cfg.n_source_layers - 1:
                 h = T.relu(h)
         return h
 
-    def target_encode(self, tgt, train=False):
+    def target_encode(self, tgt, train=False, shares=SERIAL):
         cfg = self.config
         self._check_seq(tgt, cfg.target_feature_kind, cfg.resolved_target_dim(),
                         "target")
         h = Tensor(tgt.frames)
         for i in range(cfg.n_target_conv):
-            h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h))
+            h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h, shares))
         return h
 
     def _check_seq(self, seq, kind, dim, role):
@@ -225,7 +228,7 @@ class S2VCModel:
 
     # -- attention ---------------------------------------------------------
 
-    def cross_attention(self, src_h, tgt_h):
+    def cross_attention(self, src_h, tgt_h, shares=SERIAL):
         """The attention block; returns (output, AttentionTrace)."""
         cfg = self.config
         if not cfg.use_cross_attention:
@@ -240,16 +243,16 @@ class S2VCModel:
         if tgt_h.shape[0] < 1:
             raise ModelError("cross attention needs at least one target frame")
 
-        q = nn.linear(self.params, "attn.0.wq", src_h)
-        k = nn.linear(self.params, "attn.0.wk", tgt_h)
-        v = nn.linear(self.params, "attn.0.wv", tgt_h)
+        q = nn.linear(self.params, "attn.0.wq", src_h, shares)
+        k = nn.linear(self.params, "attn.0.wk", tgt_h, shares)
+        v = nn.linear(self.params, "attn.0.wv", tgt_h, shares)
         if cfg.use_instance_norm and src_h.shape[0] > 1:
             q = nn.instance_norm(q)
         if cfg.use_instance_norm and tgt_h.shape[0] > 1:
             k = nn.instance_norm(k)
         if cfg.use_bottleneck:
-            q = nn.linear(self.params, "attn.0.bq", q)
-            k = nn.linear(self.params, "attn.0.bk", k)
+            q = nn.linear(self.params, "attn.0.bq", q, shares)
+            k = nn.linear(self.params, "attn.0.bk", k, shares)
         scale = 1.0 / float(np.sqrt(cfg.attn_dim))
         attended, weights = T.attention(q, k, v, 1, scale)
         out = attended + src_h
@@ -263,16 +266,16 @@ class S2VCModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decode(self, h, train=False, bn_stats=None):
+    def decode(self, h, train=False, bn_stats=None, shares=SERIAL):
         cfg = self.config
         for i in range(cfg.n_decoder_conformer):
             h = nn.conformer_block(self.params, self.buffers, f"dec.{i}", h, cfg,
-                                   train=train, bn_stats=bn_stats)
-        return nn.linear(self.params, "dec.out", h)
+                                   train=train, bn_stats=bn_stats, shares=shares)
+        return nn.linear(self.params, "dec.out", h, shares)
 
     # -- full forward ------------------------------------------------------
 
-    def attend(self, src_h, tgt_encodings):
+    def attend(self, src_h, tgt_encodings, shares=SERIAL):
         """Condition the source encoding on the target encodings.
 
         ``tgt_encodings`` holds one ``target_encode`` result per target
@@ -284,12 +287,12 @@ class S2VCModel:
         if self.config.use_sap:
             pooled = nn.self_attention_pool(self.params, "sap", tgt_h)  # 1 x d
             src_h = src_h + pooled
-        h, trace = self.cross_attention(src_h, tgt_h)
+        h, trace = self.cross_attention(src_h, tgt_h, shares)
         if pooled is not None:
             trace.pooled_target = pooled.data.reshape(-1).astype(np.float32, copy=True)
         return h, trace
 
-    def forward(self, src, tgts, train=False, bn_stats=None):
+    def forward(self, src, tgts, train=False, bn_stats=None, shares=SERIAL):
         """Run the conversion network.
 
         ``src`` is one FeatureSequence, ``tgts`` a non-empty list of
@@ -297,21 +300,24 @@ class S2VCModel:
         ``src``; returns (mel prediction Ts x mel_dim, AttentionTrace).
         In train mode a ``bn_stats`` list collects each batch norm's batch
         statistics instead of their update of the running averages (see
-        ``nn.batchnorm``).
+        ``nn.batchnorm``).  Without a tape, row-wise work is split across
+        ``shares``.
         """
         if not isinstance(tgts, list) or not tgts:
             raise ModelError("forward needs a non-empty list of target sequences")
         speakers = sorted({s.speaker_id for s in tgts})
         if len(speakers) > 1:
             raise ModelError(f"target utterances mix speakers {speakers}")
-        src_h = self.source_encode(src, train=train, bn_stats=bn_stats)
+        src_h = self.source_encode(src, train=train, bn_stats=bn_stats,
+                                   shares=shares)
         # encode per utterance so conv padding never leaks across utterance
         # boundaries
         tgt_encodings = [
-            self.target_encode(align_frame_rate(s, src.fps), train=train)
+            self.target_encode(align_frame_rate(s, src.fps), train=train,
+                               shares=shares)
             for s in tgts]
-        h, trace = self.attend(src_h, tgt_encodings)
-        return self.decode(h, train=train, bn_stats=bn_stats), trace
+        h, trace = self.attend(src_h, tgt_encodings, shares)
+        return self.decode(h, train=train, bn_stats=bn_stats, shares=shares), trace
 
     # -- parameter access --------------------------------------------------
 
@@ -361,49 +367,64 @@ def _pack_blob_file(magic, meta, arrays):
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def _unpack_blob_file(raw, magic, path):
-    """Parse a container read whole into ``raw``.
+def _parse_blob(buf, path):
+    """The metadata and arrays of the payload ``buf[:-4]`` of a container.
 
-    The CRC and the header fields are read through a memoryview of ``raw``;
-    each array is copied once, into its own aligned, writable float32 array.
+    Fields are read at offsets into ``buf``; each array is copied once, into
+    its own aligned, writable float32 array, so none refers to ``buf``.
     """
-    view = memoryview(raw)
-    if len(view) < 8 or view[:4] != magic:
-        raise CheckpointError(f"{path}: bad magic")
-    payload = view[:-4]
-    (crc,) = struct.unpack_from("<I", view, len(payload))
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
+    end = len(buf) - 4
     pos = 4
 
     def take(n):
+        """The offset of the next ``n`` bytes, which it moves past."""
         nonlocal pos
-        if n > len(payload) - pos:
+        if n > end - pos:
             raise CheckpointError(f"{path}: malformed container, a field runs "
                                   f"past the payload at byte {pos}")
         pos += n
-        return payload[pos - n:pos]
+        return pos - n
 
-    version, meta_len = struct.unpack("<HI", take(6))
+    version, meta_len = struct.unpack_from("<HI", buf, take(6))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
-        meta = json.loads(str(take(meta_len), "utf-8"))
-        (count,) = struct.unpack("<I", take(4))
+        meta = json.loads(str(buf[take(meta_len):pos], "utf-8"))
+        (count,) = struct.unpack_from("<I", buf, take(4))
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", take(2))
-            name = str(take(nlen), "utf-8")
-            (ndim,) = struct.unpack("<B", take(1))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            data = take(4 * math.prod(shape))
-            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+            (nlen,) = struct.unpack_from("<H", buf, take(2))
+            name = str(buf[take(nlen):pos], "utf-8")
+            (ndim,) = struct.unpack_from("<B", buf, take(1))
+            shape = struct.unpack_from(f"<{ndim}I", buf, take(4 * ndim))
+            size = math.prod(shape)
+            arrays[name] = np.frombuffer(buf, "<f4", size, take(4 * size)) \
+                .reshape(shape).astype(np.float32)
     except ValueError as e:  # bad UTF-8 or JSON
         raise CheckpointError(f"{path}: malformed container: {e}") from e
-    if pos != len(payload):
-        raise CheckpointError(f"{path}: malformed container, {len(payload) - pos} "
+    if pos != end:
+        raise CheckpointError(f"{path}: malformed container, {end - pos} "
                               "bytes after the last array")
     return meta, arrays
+
+
+def _unpack_blob_file(buf, magic, path, shares=SERIAL):
+    """Parse a container held whole in ``buf``, bytes or a read-only map.
+
+    The CRC is computed as one share and the parse as another.  A CRC
+    mismatch is reported even when the parse fails too, so a corrupted file
+    is always named as such.
+    """
+    if len(buf) < 8 or buf[:4] != magic:
+        raise CheckpointError(f"{path}: bad magic")
+    (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
+
+    def check_crc():
+        with memoryview(buf) as whole, whole[:-4] as payload:
+            if zlib.crc32(payload) != crc:
+                raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
+
+    return shares.run([check_crc, lambda: _parse_blob(buf, path)])[1]
 
 
 def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=None):
@@ -443,11 +464,19 @@ def _fold_pre_norm_biases(config, arrays):
         rm -= b.reshape(rm.shape)
 
 
-def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
-    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays)."""
+def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None,
+                    shares=SERIAL):
+    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays).
+
+    The file is memory-mapped while it loads, and its CRC is computed beside
+    the parse when ``shares`` has a thread; no returned array refers to the
+    map, which is closed before this returns.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    meta, arrays = _unpack_blob_file(raw, CHECKPOINT_MAGIC, path)
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            raise CheckpointError(f"{path}: bad magic")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            meta, arrays = _unpack_blob_file(buf, CHECKPOINT_MAGIC, path, shares)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         mel_cfg = MelConfig.from_dict(meta["mel_config"])

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cpus import SERIAL
+
 __all__ = [
     "Tensor",
     "GradTape",
@@ -35,6 +37,7 @@ __all__ = [
     "backward",
     "accumulate_grad",
     "matmul",
+    "min_share_rows",
     "linear",
     "transpose",
     "relu",
@@ -451,10 +454,37 @@ def glu(x):
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b):
+# A share of a split product does at least this many multiply-adds.  A
+# smaller one gains nothing from a thread, and BLAS may compute it with other
+# kernels than the whole product, whose sums can differ in the last bit.
+MIN_SHARE_MACS = 1 << 23
+
+
+def min_share_rows(d_in, d_out):
+    """The fewest rows of ``x`` a share of ``x @ w`` may hold, for a
+    ``d_in x d_out`` ``w``."""
+    return -(-MIN_SHARE_MACS // max(1, d_in * d_out))
+
+
+def _matmul_rows(a, b, shares):
+    """``a @ b`` for 2-D arrays, the rows of ``a`` split across ``shares``
+    unless a tape is recording.  Each row of the product is computed alone,
+    so the split gives the same bits."""
+    if shares.count == 1 or GradTape._active is not None:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+
+    def share(lo, hi):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+    shares.rows(a.shape[0], share, min_share_rows(*b.shape))
+    return out
+
+
+def matmul(a, b, shares=SERIAL):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    res = a.data @ b.data
+    res = _matmul_rows(a.data, b.data, shares)
 
     def bw(g):
         return (g @ b.data.T if a.requires_grad else None,
@@ -463,12 +493,15 @@ def matmul(a, b):
     return _make(res, "matmul", (a, b), bw)
 
 
-def linear(x, w, b):
-    """``x @ w + b``: ``x`` is T x d_in, ``w`` d_in x d_out, ``b`` 1 x d_out."""
+def linear(x, w, b, shares=SERIAL):
+    """``x @ w + b``: ``x`` is T x d_in, ``w`` d_in x d_out, ``b`` 1 x d_out.
+
+    Without a tape the rows of ``x`` are split across ``shares``.
+    """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (1, w.shape[1])):
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
-    res = x.data @ w.data
+    res = _matmul_rows(x.data, w.data, shares)
     res += b.data
 
     def bw(g):
@@ -729,10 +762,11 @@ def cols(x, start, stop):
 # ---------------------------------------------------------------------------
 # convolutions along the time axis
 
-def conv1d(x, w, b):
+def conv1d(x, w, b, shares=SERIAL):
     """Same-padded 1-D convolution over time.
 
-    ``x`` is T x C_in, ``w`` is C_out x C_in x k, ``b`` is (C_out,).
+    ``x`` is T x C_in, ``w`` is C_out x C_in x k, ``b`` is (C_out,).  Without
+    a tape the rows of the im2col product are split across ``shares``.
     """
     t_len, c_in = x.shape
     c_out, c_in_w, k = w.shape
@@ -744,7 +778,8 @@ def conv1d(x, w, b):
     # im2col: (T, C_in * k) @ (C_in * k, C_out)
     col = np.stack([xp[j:j + t_len] for j in range(k)], axis=2).reshape(t_len, c_in * k)
     wm = w.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
-    res = col @ wm + b.data
+    res = _matmul_rows(col, wm, shares)
+    res += b.data
 
     def bw(g):
         gx = gw = gb = None

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import cpus, nn
 from . import tensor as T
 from .dsp import MelConfig
 from .features import FeatureSequence, Manifest
@@ -35,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "MicrostepWorkers",
-    "spare_cpus",
     "reconstruction_loss",
     "microstep",
     "fold_microstep",
@@ -183,15 +182,6 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
 # ---------------------------------------------------------------------------
 # microstep workers
 
-def spare_cpus():
-    """CPUs of this process's affinity mask that its own threads leave idle.
-
-    A multi-threaded BLAS starts its thread pool when it loads, and that pool
-    already keeps the other CPUs busy: a worker beside it slowed training.
-    """
-    return max(0, len(os.sched_getaffinity(0)) - len(os.listdir("/proc/self/task")))
-
-
 def _worker_main(conn, config):
     """A worker's loop: answer each share of microsteps it is sent.
 
@@ -294,19 +284,19 @@ class MicrostepWorkers:
     def __init__(self, config, n_workers):
         ctx = multiprocessing.get_context("spawn")
         self._mask = os.sched_getaffinity(0)
-        cpus = sorted(self._mask)
+        mask = sorted(self._mask)
         # the first spawn starts multiprocessing's resource tracker process;
         # ``close`` stops it again, so a run leaves no child process behind
         self._own_tracker = n_workers > 0 and _TRACKER._fd is None
         self._workers = []
         try:
             for i in range(n_workers):
-                self._workers.append(_Worker(ctx, config, cpus[(1 + i) % len(cpus)]))
+                self._workers.append(_Worker(ctx, config, mask[(1 + i) % len(mask)]))
         except BaseException:
             self.close()
             raise
         if self._workers:
-            os.sched_setaffinity(0, {cpus[0]})
+            os.sched_setaffinity(0, {mask[0]})
 
     def dispatch(self, model, items, scale):
         """Send the later shares of ``items`` to the ready workers; returns
@@ -469,7 +459,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
                     break
                 keep_bytes += len(raw)
     entries = manifest.entries
-    n_workers = min(spare_cpus(), cfg.batch_size - 1) if step < cfg.max_steps else 0
+    n_workers = min(cpus.spare_cpus(), cfg.batch_size - 1) if step < cfg.max_steps else 0
     with open(log_path, "a", encoding="utf-8") as log, \
             MicrostepWorkers(model.config, n_workers) as workers:
         log.truncate(keep_bytes)

@@ -106,3 +106,31 @@ def four_speaker_manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus4")
     return build_corpus(root, speakers=("spkA", "spkB", "spkC", "spkD"),
                         utts_per_speaker=5)
+
+
+@pytest.fixture(scope="session")
+def paper_width_checkpoint(tmp_path_factory):
+    """A model of the paper's width, d_model = 512, on mel features: wide
+    enough that ``s2vc convert`` splits its matmuls and feed-forward modules
+    across threads."""
+    from s2vc.dsp import MelConfig
+    from s2vc.model import S2VCModel, save_checkpoint
+    from toycorpus import tiny_model_config
+
+    path = tmp_path_factory.mktemp("d512") / "model.s2vc"
+    config = tiny_model_config(d_model=512, conformer_ff_dim=1024,
+                               conformer_conv_kernel=15)
+    save_checkpoint(S2VCModel(config, seed=0), path, mel_config=MelConfig())
+    return path
+
+
+def convert_args(corpus_manifest, checkpoint, out_dir, gl_iters=4):
+    """An ``s2vc convert`` command line over the toy corpus that writes
+    ``o.wav`` and ``t.s2vt`` into ``out_dir``."""
+    from s2vc.features import Manifest
+
+    by_spk = Manifest.load(corpus_manifest).speakers()
+    return ["convert", str(checkpoint), by_spk["spkA"][0].features["mel"],
+            *[e.features["mel"] for e in by_spk["spkB"][:5]],
+            "--out", str(out_dir / "o.wav"), "--dump-trace", str(out_dir / "t.s2vt"),
+            "--gl-iters", str(gl_iters)]

@@ -3,20 +3,21 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from s2vc import dsp, evaluate
+from s2vc import cpus, dsp, evaluate, tensor
 from s2vc.cli import EXIT_USAGE, load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
 from s2vc.features import (FeatureSequence, Manifest, ManifestEntry, extract_mel,
                            load_feature_file, resolve_kind, write_feature_file)
 from s2vc.model import S2VCModel, read_trace, save_checkpoint
-from conftest import malform_container, open_half_written
+from conftest import convert_args, malform_container, open_half_written
 from test_dsp import _reference_resample
 from toycorpus import tiny_model_config
 
@@ -216,7 +217,7 @@ class TestTrain:
                                          monkeypatch):
         from s2vc import training
 
-        monkeypatch.setattr(training, "spare_cpus", lambda: 1)
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
         real_step = training.train_step
 
         def kill_worker(*args, workers, **kwargs):
@@ -368,6 +369,52 @@ class TestConvert:
         trace = read_trace(trace_path)
         assert trace.q.shape[1] == 4
         assert trace.v.shape[1] == 64
+
+    @pytest.mark.parametrize("width", ["tiny", "d512"])
+    def test_output_bytes_independent_of_spare_cpus(
+            self, width, runner, corpus_manifest, tiny_checkpoint,
+            paper_width_checkpoint, tmp_path, monkeypatch):
+        checkpoint = tiny_checkpoint if width == "tiny" else paper_width_checkpoint
+        real_outcome = cpus._outcome
+        share_threads = set()
+
+        def outcome(task):
+            share_threads.add(threading.current_thread().name)
+            return real_outcome(task)
+
+        monkeypatch.setattr(cpus, "_outcome", outcome)
+        outputs = []
+        for spare in (0, 1, 2):
+            monkeypatch.setattr(cpus, "spare_cpus", lambda spare=spare: spare)
+            out = tmp_path / str(spare)
+            out.mkdir()
+            res = runner.invoke(main, convert_args(corpus_manifest, checkpoint, out,
+                                                   gl_iters=10))
+            assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_bytes() for name in ("o.wav", "t.s2vt")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert len(share_threads) > 1   # not all of it ran on the caller
+
+    def test_threads_stopped_after_success_and_share_failure(
+            self, runner, corpus_manifest, tiny_checkpoint, tmp_path, monkeypatch):
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 2)
+        before = threading.active_count()
+        res = runner.invoke(main, convert_args(corpus_manifest, tiny_checkpoint,
+                                               tmp_path))
+        assert res.exit_code == 0, res.output
+        assert threading.active_count() == before
+        real_spectra = dsp._spectra
+
+        def fail_after_first_share(samples, window, cfg, lo, *args, **kwargs):
+            if lo > 0:
+                raise tensor.NumericError("rfft produced non-finite values")
+            return real_spectra(samples, window, cfg, lo, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "_spectra", fail_after_first_share)
+        res = runner.invoke(main, convert_args(corpus_manifest, tiny_checkpoint,
+                                               tmp_path))
+        assert_one_error_line(res, "non-finite values")
+        assert threading.active_count() == before
 
     def test_few_targets_warns(self, runner, corpus_manifest, tiny_checkpoint,
                                tmp_path):
@@ -562,9 +609,20 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
                 "--manifest", str(corpus_manifest), "--out-dir", str(tmp_path / "run"),
                 "--max-steps", "1", "--resume", str(resume)]
     missing_dir = tmp_path / "nope"
+    missing_file = str(missing_dir / "f")
     by_spk = Manifest.load(corpus_manifest).speakers()
-    convert = ["convert", str(checkpoint), by_spk["spkA"][0].features["mel"],
-               *[e.features["mel"] for e in by_spk["spkB"][:5]], "--gl-iters", "2"]
+    inputs = [str(checkpoint), by_spk["spkA"][0].features["mel"],
+              *[e.features["mel"] for e in by_spk["spkB"][:5]]]
+    for role, index in (("checkpoint", 0), ("source", 1), ("target", 4)):
+        if case == f"convert missing {role}":
+            inputs[index] = missing_file
+            return ["convert", *inputs, "--out", str(tmp_path / "o.wav")]
+    if case in ("eval missing checkpoint", "probe missing checkpoint"):
+        site = ["--site", "Q"] if case.startswith("probe") else []
+        return [case.split()[0], missing_file, str(corpus_manifest), *site]
+    if case == "probe checkpoint is a directory":
+        return ["probe", str(tmp_path), str(corpus_manifest), "--site", "Q"]
+    convert = ["convert", *inputs, "--gl-iters", "2"]
     if case == "convert --out into a missing dir":
         return [*convert, "--out", str(missing_dir / "o.wav")]
     if case == "convert --out onto a directory":
@@ -603,6 +661,12 @@ class TestFaultMatrix:
         "eval --out-dir under a file": (1, "Not a directory"),
         "feats into an out dir under a file": (1, "Not a directory"),
         "ablate --out-dir under a file": (1, "Not a directory"),
+        "convert missing checkpoint": (2, "checkpoint not found"),
+        "convert missing source": (2, "source not found"),
+        "convert missing target": (2, "target not found"),
+        "eval missing checkpoint": (2, "checkpoint not found"),
+        "probe missing checkpoint": (2, "checkpoint not found"),
+        "probe checkpoint is a directory": (1, "Is a directory"),
     }
     # the work each case must not start before it fails
     EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from s2vc import dsp
+from s2vc import cpus, dsp
 from s2vc.dsp import (
     AudioBuffer,
     DspError,
@@ -379,6 +382,63 @@ class TestGriffinLim:
                                config=cfg)
         with pytest.raises(DspError, match="80 log-mel"):
             griffin_lim(spec, cfg)
+
+
+def _reference_griffin_lim(spec, cfg, n_iter, seed=0):
+    """Griffin-Lim as alternating ``stft`` and ``istft`` of whole signals."""
+    target = dsp.mel_to_linear(spec.frames, cfg)
+    phase = np.exp(2j * np.pi * np.random.default_rng(seed).random(target.shape))
+    n_samples = (target.shape[0] - 1) * cfg.hop_length + cfg.win_length
+    signal = istft(target * phase, cfg, n_samples)
+    residuals = []
+    for _ in range(n_iter):
+        full = stft(signal, cfg)
+        mags = np.abs(full)
+        residuals.append(float(np.sqrt(((mags - target) ** 2).sum())))
+        signal = istft(target * (full / np.maximum(mags, 1e-12)), cfg, n_samples)
+    peak = np.abs(signal).max()
+    return (signal * (0.95 / peak) if peak > 1e-3 else signal), residuals
+
+
+class TestGriffinLimShares:
+    """Samples and residuals are the same bits whatever the share count."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 37, 160])
+    def test_every_share_count_matches_reference(self, n_frames, rng):
+        cfg = MelConfig()
+        frames = (rng.normal(size=(n_frames, 80)) - 3.0).astype(np.float32)
+        spec = dsp.Spectrogram(frames=frames, config=cfg)
+        want_samples, want_residuals = _reference_griffin_lim(spec, cfg, n_iter=6)
+        for n_threads in range(4):   # 1 to 4 shares, some with fewer frames
+            with cpus.Shares(n_threads) as shares:
+                out = griffin_lim(spec, cfg, n_iter=6, shares=shares)
+            np.testing.assert_array_equal(out.samples, want_samples)
+            np.testing.assert_array_equal(out.residuals, want_residuals)
+
+    def test_stress_four_shares_short_switch_interval(self, rng):
+        """Four shares on fewer cores, switching threads every microsecond,
+        within a bounded wait."""
+        cfg = MelConfig()
+        frames = (rng.normal(size=(120, 80)) - 3.0).astype(np.float32)
+        spec = dsp.Spectrogram(frames=frames, config=cfg)
+        want = griffin_lim(spec, cfg, n_iter=20)
+        got = []
+
+        def run():
+            with cpus.Shares(3) as shares:
+                got.append(griffin_lim(spec, cfg, n_iter=20, shares=shares))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        np.testing.assert_array_equal(got[0].samples, want.samples)
+        np.testing.assert_array_equal(got[0].residuals, want.residuals)
 
 
 def _write_wav(path):

@@ -1,15 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, and every function the traced
-benchmark wraps still exists.
+benchmark wraps still exists and runs on the main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
 
 import ast
+import functools
 import importlib
+import threading
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from conftest import convert_args
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "s2vc"
@@ -121,3 +126,69 @@ def test_traced_names_resolve():
         if owner is None:
             missing.append(name)
     assert missing == []
+
+
+@pytest.mark.parametrize("width", ["tiny", "d512"])
+def test_traced_names_run_on_the_main_thread(width, corpus_manifest, tmp_path,
+                                             paper_width_checkpoint, monkeypatch):
+    """The traced benchmark keeps one span stack, which threads would corrupt:
+    ``s2vc convert`` with spare CPUs runs no traced function on a share
+    thread."""
+    from s2vc import cli, cpus, dsp
+    from s2vc.model import S2VCModel, save_checkpoint
+    from toycorpus import tiny_model_config
+
+    if width == "tiny":
+        checkpoint = tmp_path / "tiny.s2vc"
+        save_checkpoint(S2VCModel(tiny_model_config(), seed=0), checkpoint,
+                        mel_config=dsp.MelConfig())
+    else:
+        checkpoint = paper_width_checkpoint
+    modules = [importlib.import_module(f"s2vc.{m}") for m in
+               ("cli", "dsp", "evaluate", "features", "model", "nn", "tensor",
+                "training")]
+    threads = {}
+
+    def on_thread(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in traced_names():
+        module, *path = name.split(".")
+        owner = importlib.import_module(f"s2vc.{module}")
+        for part in path[:-1]:
+            owner = getattr(owner, part)
+        if len(path) > 1:   # a method: replace it on its class
+            raw = vars(owner)[path[-1]]
+            if isinstance(raw, classmethod):
+                wrapped = classmethod(on_thread(name, raw.__func__))
+            else:
+                wrapped = on_thread(name, raw)
+            monkeypatch.setattr(owner, path[-1], wrapped)
+            continue
+        original = getattr(owner, path[-1])
+        wrapper = on_thread(name, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(cpus, "spare_cpus", lambda: 2)
+    share_threads = set()
+    real_outcome = cpus._outcome
+
+    def outcome(task):
+        share_threads.add(threading.current_thread().name)
+        return real_outcome(task)
+
+    monkeypatch.setattr(cpus, "_outcome", outcome)
+    res = CliRunner().invoke(cli.main, convert_args(corpus_manifest, checkpoint,
+                                                    tmp_path))
+    assert res.exit_code == 0, res.output
+    main = threading.main_thread().name
+    assert len(share_threads) > 1   # not all of it ran on the caller
+    assert {"dsp.griffin_lim", "model.load_checkpoint",
+            "model.S2VCModel.decode"} <= set(threads)
+    assert {name: names for name, names in threads.items() if names != {main}} == {}

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from s2vc import dsp
+from s2vc import cpus, dsp
 from s2vc import model as model_mod
 from s2vc import nn
 from s2vc import tensor as T
@@ -580,6 +580,82 @@ class TestLoadPath:
                                                    {"mel_config": {}}, {}))
         with pytest.raises(CheckpointError, match="malformed checkpoint metadata"):
             load_checkpoint(path)
+
+
+@pytest.fixture(params=[0, 1], ids=["serial", "crc-thread"])
+def shares(request):
+    with cpus.Shares(request.param) as shares:
+        yield shares
+
+
+def mapped(path):
+    """The lines of this process's memory map that map ``path``."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return [line for line in fh if line.rstrip().endswith(str(path))]
+
+
+class TestMappedLoad:
+    """The load maps the file and computes its CRC beside the parse: a
+    corrupted file is reported as such whichever of the two ends first, and
+    the map is closed with no array left referring to it."""
+
+    @pytest.fixture
+    def path(self, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        save_checkpoint(tiny_model, path)
+        return path
+
+    def test_flipped_array_byte_is_crc_mismatch(self, path, shares):
+        raw = bytearray(path.read_bytes())
+        raw[-100] ^= 0xFF   # inside the payload of the last array
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            load_checkpoint(path, shares=shares)
+
+    def test_flipped_length_field_is_crc_mismatch(self, path, shares):
+        raw = bytearray(path.read_bytes())
+        raw[9] ^= 0xFF      # the top byte of the metadata length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="past the payload"):
+            model_mod._parse_blob(bytes(raw), path)
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            load_checkpoint(path, shares=shares)
+
+    def test_overrun_with_valid_crc_is_reported(self, path, shares):
+        malform_container(path, "overrun")
+        with pytest.raises(CheckpointError, match="past the payload"):
+            load_checkpoint(path, shares=shares)
+
+    def test_empty_file_is_bad_magic(self, path, shares):
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError, match="bad magic"):
+            load_checkpoint(path, shares=shares)
+
+    @pytest.mark.parametrize("fault", [None, "crc", "overrun"])
+    def test_map_closed_and_file_replaceable(self, fault, path, tiny_model, shares):
+        if fault == "overrun":
+            malform_container(path, fault)
+        elif fault == "crc":
+            raw = bytearray(path.read_bytes())
+            raw[-100] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        if fault:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path, shares=shares)
+        else:
+            loaded, _, _, _ = load_checkpoint(path, shares=shares)
+            for name, arr in loaded.state_arrays().items():
+                assert arr.base is None and arr.flags.owndata, name
+        assert mapped(path) == []
+        other = S2VCModel(tiny_model_config(), seed=4)
+        path.write_bytes(model_mod._pack_blob_file(
+            model_mod.CHECKPOINT_MAGIC,
+            {"model_config": other.config.to_dict(),
+             "mel_config": dsp.MelConfig().to_dict()},
+            other.state_arrays()))
+        reloaded, _, _, _ = load_checkpoint(path, shares=shares)
+        for k, p in other.params.items():
+            assert reloaded.params[k].data.tobytes() == p.data.tobytes()
 
 
 class TestInterruptedWrite:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from s2vc import cpus
 from s2vc import tensor as T
 from s2vc import training
 from s2vc.features import FeatureSequence, Manifest, load_feature_file
@@ -73,7 +74,7 @@ def assert_no_child_process():
 @pytest.fixture
 def one_worker(monkeypatch):
     """run_training starts one worker, whatever the host's BLAS threads."""
-    monkeypatch.setattr(training, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
 
 
 class TestReconstructionLoss:
@@ -211,9 +212,9 @@ class TestRunTraining:
             assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
             return real_step(*args, workers=workers, **kwargs)
 
-        monkeypatch.setattr(training, "spare_cpus", lambda: 0)
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 0)
         sequential = run_training(tiny_cfg(corpus_manifest, tmp_path / "a", max_steps=3))
-        monkeypatch.setattr(training, "spare_cpus", lambda: 1)
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
         monkeypatch.setattr(training, "train_step", with_ready_worker)
         split = run_training(tiny_cfg(corpus_manifest, tmp_path / "b", max_steps=3))
         assert_no_child_process()
