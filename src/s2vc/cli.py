@@ -5,6 +5,7 @@ layered: built-in defaults < config file < command-line flags.  The resolved
 snapshot is embedded in every checkpoint and report the run produces.
 
 Exit codes: 0 success, 1 runtime/evaluation failure, 2 usage or config error.
+Every failure is reported as one ``error:`` line on stderr.
 
 The model, training and evaluation modules are imported by the commands that
 use them, so ``feats`` never loads the tensor library.
@@ -123,14 +124,25 @@ def _global_seed(seed):
     return int(env) if env else 0
 
 
-@click.group()
-def main():
-    """Any-to-any voice conversion: features, training, conversion, evaluation."""
-
-
 def _fail(message, code):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+class _Commands(click.Group):
+    """A command group whose subcommands report a bad option value, or any
+    other usage error Click finds, as one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            _fail(e.format_message(), EXIT_USAGE)
+
+
+@click.group(cls=_Commands)
+def main():
+    """Any-to-any voice conversion: features, training, conversion, evaluation."""
 
 
 # glibc's mallopt parameter numbers, and the values ``_steady_heap`` sets
@@ -219,7 +231,7 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
 @click.option("--config", "config_file", type=click.Path(), default=None)
 @click.option("--manifest", default=None)
 @click.option("--out-dir", default=None)
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--source-kind", default=None)
 @click.option("--target-kind", default=None)
@@ -273,7 +285,8 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
 @click.argument("targets", nargs=-1, type=click.Path())
 @click.option("--out", "out_wav", required=True, type=click.Path())
 @click.option("--dump-trace", type=click.Path(), default=None)
-@click.option("--gl-iters", type=int, default=60, show_default=True)
+@click.option("--gl-iters", type=click.IntRange(min=1), default=60,
+              show_default=True)
 def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
     """Convert SOURCE (a feature file) toward the speaker of TARGETS.
 
@@ -315,7 +328,8 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
 @click.argument("manifest_path", type=click.Path())
 @click.option("--scenario", type=click.Choice(["s2s", "u2u"]), default="s2s",
               show_default=True)
-@click.option("--n-pairs", type=int, default=400, show_default=True)
+@click.option("--n-pairs", type=click.IntRange(min=1), default=400,
+              show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--out-dir", default="eval_out", show_default=True)
 def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
@@ -368,8 +382,9 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
 @click.option("--config", "config_file", type=click.Path(), default=None)
 @click.option("--manifest", required=True)
 @click.option("--out-dir", default="ablation", show_default=True)
-@click.option("--max-steps", type=int, default=None)
-@click.option("--n-pairs", type=int, default=20, show_default=True)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
+@click.option("--n-pairs", type=click.IntRange(min=1), default=20,
+              show_default=True)
 @click.option("--seed", type=int, default=None)
 def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     """Train and evaluate all 7 ablation configurations on shared seeds/pairs.

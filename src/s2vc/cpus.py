@@ -1,32 +1,38 @@
-"""How many CPUs a command may use, and the thread set that uses them.
+"""How many CPUs a command may use, and the threads and processes that use them.
 
-``spare_cpus`` is the one rule for how many CPUs are idle: training starts
-one worker process per spare CPU, and ``s2vc convert`` one ``Shares``
-thread.  A ``Shares`` runs the contiguous row shares of one piece of NumPy
-work at once, on the calling thread and its own threads; NumPy and BLAS
-release the interpreter lock, so the shares overlap.  Every split in the
-package gives the same bits as the unsplit work: the callers split only
-work whose rows are computed independently.
+``spare_cpus`` is the one rule for how many CPUs are idle: training forks
+one ``Helper`` process per spare CPU, and ``s2vc convert`` starts one
+``Shares`` thread.  A ``Shares`` runs the contiguous row shares of one
+piece of NumPy work at once, on the calling thread and its own threads;
+NumPy and BLAS release the interpreter lock, so the shares overlap.  Every
+split in the package gives the same bits as the unsplit work: the callers
+split only work whose rows are computed independently.
 
 ``SERIAL`` is the set with no threads, under which every share is the whole
 of the work, run inline; it is what every caller gets unless it is handed
 another set.
+
+A ``Helper`` is the package's one child process: ``s2vc eval`` trains its
+speaker embedder in one, and training computes microsteps in them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import pickle
+import signal
 import threading
 
-__all__ = ["spare_cpus", "Shares", "SERIAL"]
+__all__ = ["spare_cpus", "Shares", "SERIAL", "Helper", "HelperExited"]
 
 
 def spare_cpus():
     """CPUs of this process's affinity mask that its own threads leave idle.
 
     A multi-threaded BLAS starts its thread pool when it loads, and that pool
-    already keeps the other CPUs busy: a worker beside it slowed training.
+    already keeps the other CPUs busy: a helper beside it slowed training.
     Without Linux's affinity mask and ``/proc/self/task`` there are none.
     """
     try:
@@ -160,3 +166,114 @@ class Shares:
 
 
 SERIAL = Shares()
+
+
+class HelperExited(Exception):
+    """A helper process ended without replying to a task sent to it."""
+
+
+def _serve_tasks(fn, cpu, task_fd, reply_fd):
+    """A helper's loop: call ``fn`` on each task and write back its value,
+    or the exception it raised.  The end of the task pipe ends the loop."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    with open(task_fd, "rb") as tasks, open(reply_fd, "wb") as replies:
+        while True:
+            try:
+                args = pickle.load(tasks)
+            except EOFError:
+                return
+            try:
+                reply = (True, fn(*args))
+            except Exception as e:   # raised again by Helper.recv
+                reply = (False, e)
+            del args   # the task's arrays are freed before the reply is written
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+            del reply   # and the reply is not kept while the child waits
+
+
+class Helper:
+    """A child process, forked once, that calls ``fn`` on each task it is sent.
+
+    ``fn`` and everything it refers to are inherited through the fork, not
+    pickled; a task's arguments and ``fn``'s value each cross a pipe as one
+    pickle.  ``recv`` returns the values in the order the tasks were sent
+    and raises an exception ``fn`` raised as itself.  A child that has died
+    raises ``HelperExited`` naming its pid and exit status.  The child runs
+    on ``cpu`` alone, when one is given, and ignores SIGINT.  ``close``, or
+    the end of a ``with`` block, kills and reaps it.
+
+    The child writes each reply before it reads the next task: a large task
+    sent while a reply larger than a pipe buffer is unread blocks both
+    processes, so send one only when every earlier reply is received.  Make
+    a helper only in a process without other threads: a lock another
+    thread holds at the fork stays held in the child.
+    """
+
+    def __init__(self, fn, cpu=None):
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (task_r, task_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(task_w)
+                os.close(reply_r)
+                _serve_tasks(fn, cpu, task_r, reply_w)
+                status = 0
+            finally:
+                os._exit(status)   # never return into the caller's stack
+        os.close(task_r)
+        os.close(reply_w)
+        self._tasks = open(task_w, "wb")
+        self._replies = open(reply_r, "rb")
+        self._exit_status = None
+
+    def send(self, *args):
+        """Queue the task ``fn(*args)``."""
+        try:
+            pickle.dump(args, self._tasks, pickle.HIGHEST_PROTOCOL)
+            self._tasks.flush()
+        except BrokenPipeError:
+            raise self._exited() from None
+
+    def recv(self):
+        """The value of the oldest task not yet received, or its exception."""
+        try:
+            ok, value = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._exited() from None
+        if not ok:
+            raise value
+        return value
+
+    def _exited(self):
+        if self._exit_status is None:
+            _, status = os.waitpid(self.pid, 0)
+            self._exit_status = os.waitstatus_to_exitcode(status)
+        return HelperExited(f"helper process {self.pid} exited with status "
+                            f"{self._exit_status}")
+
+    def close(self):
+        """Kill and reap the child, unless it is reaped already."""
+        if self._exit_status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self._exit_status = -signal.SIGKILL
+        for pipe in (self._tasks, self._replies):
+            with contextlib.suppress(OSError):   # a task the child never read
+                pipe.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False

@@ -9,15 +9,12 @@ across configurations with shared seeds and pair samples are.
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import cpus, dsp
 from . import nn
 from . import tensor as T
 from .cpus import SERIAL
@@ -191,8 +188,8 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     both of its forwards, and each distinct source is self-reconstructed
     once.  Pairs run grouped by target speaker, so target encodings are
     cached for one speaker at a time; results keep the sampled pair order.
-    Without ``embedder``, one forked child trains it while the pairs convert
-    (docs/eval.md).
+    Without ``embedder``, a ``cpus.Helper`` trains it while the pairs
+    convert (docs/eval.md).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,14 +197,17 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
         pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
                              train_speakers=train_speakers)
     mels = load_mels(manifest)
-    child = _EmbedderChild(mels, seed) if embedder is None else None
-    try:
+    if embedder is None:
+        with cpus.Helper(lambda: train_speaker_embedder(list(mels.values()),
+                                                        seed=seed)) as helper:
+            helper.send()
+            converted, recon_by_src = _convert_pairs(model, pairs, mels)
+            try:
+                embedder = helper.recv()
+            except cpus.HelperExited as e:
+                raise EvalError(f"speaker embedder {e}") from None
+    else:
         converted, recon_by_src = _convert_pairs(model, pairs, mels)
-        if child is not None:
-            embedder = child.result()
-    finally:
-        if child is not None:
-            child.close()
 
     embs, by_spk = {}, {}
     for utt, (frames, spk) in mels.items():
@@ -299,65 +299,6 @@ def train_speaker_embedder(utterances, steps=300, lr=1e-3, seed=0, mel_dim=80):
             tape.backward(loss)
         opt.step()
     return emb
-
-
-class _EmbedderChild:
-    """``train_speaker_embedder(list(mels.values()), seed=seed)`` in a forked
-    child process, which pickles ``(ok, embedder or exception)`` into a pipe.
-
-    Call ``result`` for the embedder, and ``close`` in every case: it kills
-    and reaps the child unless ``result`` already reaped it.
-    """
-
-    def __init__(self, mels, seed):
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                try:
-                    result = (True, train_speaker_embedder(list(mels.values()),
-                                                            seed=seed))
-                except Exception as e:
-                    result = (False, e)
-                with open(write_fd, "wb") as fh:
-                    fh.write(pickle.dumps(result))
-                status = 0
-            finally:
-                os._exit(status)   # never return into the caller's stack
-        os.close(write_fd)
-        self._pipe = open(read_fd, "rb")
-
-    def result(self):
-        """The trained embedder, or the child's exception raised here.
-
-        The pipe is read to EOF before the child is reaped: the pickled
-        embedder outgrows the pipe buffer, so a child blocked on its write
-        would never exit.
-        """
-        payload = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise EvalError(f"speaker embedder process exited with status {code}")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        return value
-
-    def close(self):
-        self._pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def cosine_similarity(a, b):
@@ -496,8 +437,8 @@ def probe_speaker_info(model, manifest, site, seed=0, max_pairs=40,
     spk_idx = {s: i for i, s in enumerate(speakers)}
 
     rng = np.random.default_rng(seed)
-    feats_x, labels, pair_ids = [], [], []
-    for p in range(max_pairs):
+    feats_x, labels = [], []
+    for _ in range(max_pairs):
         s1, s2 = rng.choice(speakers, size=2, replace=False)
         src = by_speaker[s1][int(rng.integers(len(by_speaker[s1])))]
         tgt = by_speaker[s2][int(rng.integers(len(by_speaker[s2])))]
@@ -513,7 +454,6 @@ def probe_speaker_info(model, manifest, site, seed=0, max_pairs=40,
         sel = rng.choice(mat.shape[0], size=take, replace=False)
         feats_x.append(mat[sel])
         labels.append(np.full(take, label, dtype=np.int64))
-        pair_ids.append(p)
 
     order = rng.permutation(len(feats_x))
     n_dev = max(1, len(feats_x) // 10)

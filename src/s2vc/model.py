@@ -321,9 +321,6 @@ class S2VCModel:
 
     # -- parameter access --------------------------------------------------
 
-    def named_parameters(self):
-        return self.params
-
     def state_arrays(self):
         out = {f"param.{k}": p.data for k, p in self.params.items()}
         out.update({f"buffer.{k}": b.data for k, b in self.buffers.items()})

@@ -5,21 +5,20 @@ target.  Variable-length utterances are handled by gradient accumulation
 (one utterance per microstep) instead of padding and masking.
 
 A microstep is a pure function of the parameters and its utterance, so a
-step shares its microsteps out between the trainer and spawned worker
-processes, one per spare CPU, and folds every result in batch order: the
-parameters, buffers and optimizer state after a step are bit-identical
-whichever process computed each microstep.
+step shares its microsteps out between the trainer and helper processes
+(``cpus.Helper``), one per spare CPU, and folds every result in batch
+order: the parameters, buffers and optimizer state after a step are
+bit-identical whichever process computed each microstep.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-import multiprocessing
 import os
-import signal
 import time
 from dataclasses import dataclass, asdict, field, replace
-from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 MAX_CROP_FRAMES = 512
-JOIN_TIMEOUT_S = 10.0
-_TRACKER = resource_tracker._resource_tracker
 
 
 class TrainingError(Exception):
@@ -147,12 +144,11 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
     """One optimization step over a list of BatchItems.
 
     Returns the averaged loss value.  Each utterance is one ``microstep``.
-    This process computes them from the front of the batch; once ``workers``
-    (a MicrostepWorkers) has a ready worker, the items left are split into
-    contiguous shares, the first kept here and the later ones sent out.
-    Every result is folded in batch order.  The summed gradients are clipped
-    by global norm, then applied with AdamW.  ``rng`` is unused since the
-    model has no dropout; it stays for callers.
+    ``workers`` (a MicrostepWorkers) splits the batch into contiguous
+    shares, the first computed here and the later ones by its helpers, and
+    every result is folded in batch order.  The summed gradients are
+    clipped by global norm, then applied with AdamW.  ``rng`` is unused
+    since the model has no dropout; it stays for callers.
     """
     if not batch:
         raise TrainingError("empty batch")
@@ -161,14 +157,10 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
     optimizer.zero_grad()
     scale = 1.0 / len(batch)
     total = 0.0
-    own_end = len(batch)  # this process computes batch[:own_end]
-    i = 0
     try:
-        while i < own_end:
-            if own_end == len(batch):  # nothing sent out yet
-                own_end = i + workers.dispatch(model, batch[i:], scale)
-            total += fold_microstep(model, microstep(model, batch[i], scale)) * len(batch)
-            i += 1
+        own = workers.dispatch(model, batch, scale)
+        for item in batch[:own]:
+            total += fold_microstep(model, microstep(model, item, scale)) * len(batch)
     except BaseException:
         workers.discard()
         raise
@@ -180,177 +172,96 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
 
 
 # ---------------------------------------------------------------------------
-# microstep workers
+# microstep helpers
 
-def _worker_main(conn, config):
-    """A worker's loop: answer each share of microsteps it is sent.
+def _microsteps(config, state, items, scale):
+    """``microstep`` of each of ``items`` on a model built around the
+    parameter and buffer arrays ``state``; a helper's task."""
+    model = S2VCModel.from_state_arrays(config, state)
+    return [microstep(model, item, scale) for item in items]
 
-    A task is ``(state arrays, items, scale)``.  Once the share is computed,
-    each item's result goes back as its own message, or the exception the
-    share raised ends the reply.  ``None`` or a closed pipe ends the loop.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the trainer handles ^C
+
+def _as_training_error(fn, *args):
     try:
-        conn.send("ready")
-        while (task := conn.recv()) is not None:
-            state, items, scale = task
-            model = S2VCModel.from_state_arrays(config, state)
-            results = []
-            try:
-                for item in items:
-                    results.append(microstep(model, item, scale))
-            except Exception as e:  # reported to the trainer, which raises it
-                results.append(e)
-            del model, state
-            # sent only now: a send blocks while the trainer computes its share
-            for result in results:
-                conn.send(result)
-    except (EOFError, BrokenPipeError):
-        pass  # the trainer has gone
-
-
-class _Worker:
-    def __init__(self, ctx, config, cpu):
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_worker_main, args=(child, config),
-                                name="s2vc-microsteps", daemon=True)
-        self.proc.start()
-        child.close()
-        os.sched_setaffinity(self.proc.pid, {cpu})
-        self.ready = False
-        self.pending = 0  # replies still to read for the share sent
-
-    def died(self):
-        self.proc.join(JOIN_TIMEOUT_S)
-        return TrainingError(f"microstep worker {self.proc.pid} exited with "
-                             f"status {self.proc.exitcode}")
-
-    def poll_ready(self):
-        """Whether the worker has started; never waits for it."""
-        if not self.ready and self.conn.poll():
-            try:
-                self.ready = self.conn.recv() == "ready"
-            except EOFError:
-                raise self.died() from None
-        return self.ready
-
-    def send(self, state, items, scale):
-        try:
-            self.conn.send((state, items, scale))
-        except BrokenPipeError:
-            raise self.died() from None
-        self.pending = len(items)
-
-    def recv(self):
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            self.pending = 0
-            raise self.died() from None
-        self.pending = 0 if isinstance(reply, Exception) else self.pending - 1
-        return reply
-
-    def stop(self):
-        if self.ready and not self.pending:
-            try:
-                self.conn.send(None)
-            except BrokenPipeError:
-                pass
-            self.proc.join(JOIN_TIMEOUT_S)
-        if self.proc.is_alive():  # still starting, or busy with a share
-            self.proc.terminate()
-            self.proc.join(JOIN_TIMEOUT_S)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(JOIN_TIMEOUT_S)
-        self.conn.close()
+        return fn(*args)
+    except cpus.HelperExited as e:
+        raise TrainingError(f"microstep {e}") from None
 
 
 class MicrostepWorkers:
-    """Persistent spawned processes that compute microsteps for the trainer.
+    """Helper processes that compute microsteps for the trainer.
 
-    Each worker is sent the current parameter and buffer arrays and a
-    contiguous share of the batch, and builds a shape-only model around the
-    arrays.  A worker that has not reported ready is left out, so no step
-    waits for a worker to start.  A worker that dies raises TrainingError
-    with its exit status.  Use as a context manager, or call ``close``.
+    Each helper is forked once, here, and is sent the current parameter and
+    buffer arrays and a contiguous share of each batch; it builds a
+    shape-only model around the arrays.  A helper that dies raises
+    TrainingError with its exit status.  Use as a context manager, or call
+    ``close``.
 
-    While there are workers, the calling thread and each worker are pinned
+    While there are helpers, the calling thread and each helper are pinned
     to one CPU each of the caller's affinity mask, which ``close`` restores:
-    left to the scheduler, a worker woken by the trainer's pipe write ran on
+    left to the scheduler, a helper woken by the trainer's pipe write ran on
     the trainer's CPU for the first second or so, at half speed for both.
     """
 
     def __init__(self, config, n_workers):
-        ctx = multiprocessing.get_context("spawn")
         self._mask = os.sched_getaffinity(0)
         mask = sorted(self._mask)
-        # the first spawn starts multiprocessing's resource tracker process;
-        # ``close`` stops it again, so a run leaves no child process behind
-        self._own_tracker = n_workers > 0 and _TRACKER._fd is None
-        self._workers = []
+        task = functools.partial(_microsteps, config)
+        self._helpers = []
+        self._sent = []   # the helpers with a share to answer, in batch order
         try:
             for i in range(n_workers):
-                self._workers.append(_Worker(ctx, config, mask[(1 + i) % len(mask)]))
+                self._helpers.append(cpus.Helper(task, mask[(1 + i) % len(mask)]))
         except BaseException:
             self.close()
             raise
-        if self._workers:
+        if self._helpers:
             os.sched_setaffinity(0, {mask[0]})
 
     def dispatch(self, model, items, scale):
-        """Send the later shares of ``items`` to the ready workers; returns
-        the length of the first share, which the trainer computes."""
-        ready = [w for w in self._workers if w.poll_ready()]
-        n_parts = min(1 + len(ready), len(items))
+        """Send the later shares of ``items`` to the helpers; returns the
+        length of the first share, which the trainer computes."""
+        n_parts = min(1 + len(self._helpers), len(items))
         bounds = [len(items) * i // n_parts for i in range(n_parts + 1)]
         if n_parts > 1:
             state = model.state_arrays()
-            for w, lo, hi in zip(ready, bounds[1:-1], bounds[2:]):
-                w.send(state, items[lo:hi], scale)
+            for h, lo, hi in zip(self._helpers, bounds[1:-1], bounds[2:]):
+                _as_training_error(h.send, state, items[lo:hi], scale)
+                self._sent.append(h)
         return bounds[1]
 
     def results(self):
         """Yield the results of the shares ``dispatch`` sent, in batch order.
 
-        A share's exception is raised once every reply has been read.
+        A share's exception is raised once every share's reply is read.
         """
+        sent, self._sent = self._sent, []
         error = None
-        for w in self._workers:
-            while w.pending:
-                reply = w.recv()
-                if isinstance(reply, Exception):
-                    error = error or reply
-                elif error is None:
-                    yield reply
+        for h in sent:
+            try:
+                share = _as_training_error(h.recv)
+            except Exception as e:
+                error = error or e
+                continue
+            if error is None:
+                yield from share
         if error is not None:
             raise error
 
     def discard(self):
         """Read and drop the replies to the shares ``dispatch`` sent."""
-        for w in self._workers:
-            while w.pending:
-                w.recv()
-
-    def wait_ready(self, timeout):
-        """Wait up to ``timeout`` seconds for the workers to start; returns
-        how many have."""
-        deadline = time.monotonic() + timeout
-        for w in self._workers:
-            if not w.ready:
-                w.conn.poll(max(0.0, deadline - time.monotonic()))
-        return sum(w.poll_ready() for w in self._workers)
+        sent, self._sent = self._sent, []
+        for h in sent:
+            with contextlib.suppress(Exception):
+                h.recv()
 
     def close(self):
-        """Stop every worker, each within a bounded wait."""
-        if self._workers:
+        """Kill and reap every helper."""
+        if self._helpers:
             os.sched_setaffinity(0, self._mask)
-        for w in self._workers:
-            w.stop()
-        self._workers = []
-        if self._own_tracker:
-            _TRACKER._stop()
-            self._own_tracker = False
+        for h in self._helpers:
+            h.close()
+        self._helpers = []
 
     def __enter__(self):
         return self

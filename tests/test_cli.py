@@ -1,6 +1,6 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -218,15 +218,23 @@ class TestTrain:
         from s2vc import training
 
         monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
+        helpers = []
+
+        class RecordedHelper(cpus.Helper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                helpers.append(self)
+
         real_step = training.train_step
 
-        def kill_worker(*args, workers, **kwargs):
-            assert workers.wait_ready(training.JOIN_TIMEOUT_S) == 1
-            for proc in multiprocessing.active_children():
-                proc.kill()
-                proc.join(training.JOIN_TIMEOUT_S)
-            return real_step(*args, workers=workers, **kwargs)
+        def kill_worker(*args, **kwargs):
+            (helper,) = helpers
+            os.kill(helper.pid, signal.SIGKILL)
+            # wait for the death but leave the child for the trainer to reap
+            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+            return real_step(*args, **kwargs)
 
+        monkeypatch.setattr(cpus, "Helper", RecordedHelper)
         monkeypatch.setattr(training, "train_step", kill_worker)
         cfg = write_tiny_config(tmp_path / "c.cfg")
         cfg.write_text(cfg.read_text().replace("batch_size = 1", "batch_size = 2"))
@@ -234,7 +242,8 @@ class TestTrain:
                                    str(corpus_manifest), "--out-dir",
                                    str(tmp_path / "run"), "--max-steps", "2"])
         assert_one_error_line(res, "exited with status -9")
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_show_config_resolves_layers(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
@@ -601,6 +610,20 @@ class TestAblate:
 
 def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     """The command line of one case of TestFaultMatrix."""
+    if case.endswith(("below 0", "below 1")):   # an option value under its floor
+        command, option, _, floor = case.split()
+        config = ["--config", str(write_tiny_config(tmp_path / "c.cfg")),
+                  "--manifest", str(corpus_manifest), "--out-dir", str(tmp_path / "o")]
+        by_spk = Manifest.load(corpus_manifest).speakers()
+        args = {"train": ["train", *config, "--max-steps", "1"],
+                "ablate": ["ablate", *config, "--max-steps", "1", "--n-pairs", "2"],
+                "eval": ["eval", str(checkpoint), str(corpus_manifest),
+                         "--out-dir", str(tmp_path / "o")],
+                "convert": ["convert", str(checkpoint),
+                            by_spk["spkA"][0].features["mel"],
+                            *[e.features["mel"] for e in by_spk["spkB"][:5]],
+                            "--out", str(tmp_path / "o.wav")]}[command]
+        return [*args, option, str(int(floor) - 1)]
     if case.startswith("train"):
         resume = tmp_path / "resume.s2vc"
         if case == "train --resume 4-byte file":
@@ -667,6 +690,11 @@ class TestFaultMatrix:
         "eval missing checkpoint": (2, "checkpoint not found"),
         "probe missing checkpoint": (2, "checkpoint not found"),
         "probe checkpoint is a directory": (1, "Is a directory"),
+        "convert --gl-iters below 1": (2, "Invalid value for '--gl-iters'"),
+        "train --max-steps below 0": (2, "Invalid value for '--max-steps'"),
+        "eval --n-pairs below 1": (2, "Invalid value for '--n-pairs'"),
+        "ablate --n-pairs below 1": (2, "Invalid value for '--n-pairs'"),
+        "ablate --max-steps below 0": (2, "Invalid value for '--max-steps'"),
     }
     # the work each case must not start before it fails
     EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child

@@ -1,4 +1,5 @@
 import os
+import signal
 import threading
 
 import numpy as np
@@ -113,3 +114,70 @@ class TestSplitProducts:
                 loss = T.sum_(T.matmul(x, w, shares))
             tape.backward(loss)
             assert shares.splits == [1]   # a recorded forward never splits
+
+
+class TestHelper:
+    """A forked child that answers tasks in order; whatever happens, it is
+    reaped once the helper is closed."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        """Fails a test that hangs on its helper instead of hanging the suite."""
+        def timeout(signum, frame):
+            raise TimeoutError("helper test took over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_replies_in_order_from_another_process(self):
+        big = np.arange(1 << 18, dtype=np.float32)   # more than a pipe buffer
+        with cpus.Helper(lambda a, k: (os.getpid(), a * k, big.sum())) as helper:
+            for k in range(3):
+                helper.send(big, k)
+                pid, scaled, total = helper.recv()
+                np.testing.assert_array_equal(scaled, big * k)
+                assert total == big.sum() and pid == helper.pid != os.getpid()
+            for k in range(3):   # small replies may queue up
+                helper.send(big[:4], k)
+            assert [helper.recv()[1][1] for _ in range(3)] == [0, 1, 2]
+
+    def test_exception_raised_as_itself_and_helper_serves_on(self):
+        def fn(x):
+            if x < 0:
+                raise ValueError(f"negative {x} in {os.getpid()}")
+            return x + 1
+
+        with cpus.Helper(fn) as helper:
+            helper.send(-1)
+            helper.send(1)
+            with pytest.raises(ValueError, match=f"negative -1 in {helper.pid}"):
+                helper.recv()
+            assert helper.recv() == 2
+
+    def test_dead_child_names_pid_and_status(self):
+        with cpus.Helper(lambda: os._exit(3)) as helper:
+            helper.send()
+            message = f"helper process {helper.pid} exited with status 3"
+            with pytest.raises(cpus.HelperExited, match=message):
+                helper.recv()
+            with pytest.raises(cpus.HelperExited, match=message):   # and stays dead
+                helper.send()
+
+    def test_close_kills_a_busy_child(self):
+        helper = cpus.Helper(lambda: threading.Event().wait())
+        helper.send()
+        helper.close()
+        helper.close()
+
+    def test_pinned_to_its_cpu(self):
+        cpu = max(os.sched_getaffinity(0))
+        with cpus.Helper(lambda: os.sched_getaffinity(0), cpu) as helper:
+            helper.send()
+            assert helper.recv() == {cpu}

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
-or exports a name it does not define, and every function the traced
-benchmark wraps still exists and runs on the main thread only.
+or exports a name it does not define, only ``cpus`` makes child processes,
+and every function the traced benchmark wraps still exists and runs on the
+main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -100,6 +101,45 @@ def test_export_checker_sees_every_binding():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_export_defined(module):
     assert undefined_exports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def process_starts(source):
+    """Sorted (line, what) of every ``os.fork`` reference and every
+    ``multiprocessing`` import in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, "os.fork"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, "os.fork") for a in node.names if a.name == "fork"]
+        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                   else [])
+        found += [(node.lineno, "multiprocessing") for m in modules
+                  if m.split(".")[0] == "multiprocessing"]
+    return sorted(found)
+
+
+def test_process_checker_sees_forks_and_imports():
+    source = ("import os, multiprocessing.pool\n"
+              "from os import fork\n"
+              "from multiprocessing import Process\n"
+              "pid = os.fork()\n"
+              "'os.fork' and os.forkpty\n")
+    assert process_starts(source) == [(1, "multiprocessing"), (2, "os.fork"),
+                                      (3, "multiprocessing"), (4, "os.fork")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_cpus_forks(module):
+    """``cpus.Helper`` owns every child process: no other module forks, and
+    none uses ``multiprocessing``."""
+    found = process_starts((PACKAGE / module).read_text(encoding="utf-8"))
+    if module == "cpus.py":
+        assert [what for _, what in found] == ["os.fork"]
+    else:
+        assert found == []
 
 
 def traced_names():

@@ -1,6 +1,7 @@
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from s2vc.model import S2VCModel, load_checkpoint
 from s2vc.tensor import AdamW, ShapeError, Tensor
 from s2vc.training import (
     ABLATION_ROWS,
-    JOIN_TIMEOUT_S,
     BatchItem,
     MicrostepWorkers,
     TrainConfig,
@@ -66,15 +66,24 @@ def varied_batch(manifest_path, n):
 
 
 def assert_no_child_process():
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def one_worker(monkeypatch):
-    """run_training starts one worker, whatever the host's BLAS threads."""
+    """run_training starts one helper, whatever the host's BLAS threads."""
     monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
+
+
+def assert_checkpoints_equal(path_a, path_b):
+    """Parameters, buffers, and the optimizer moments among the extra arrays."""
+    ma, _, _, xa = load_checkpoint(path_a)
+    mb, _, _, xb = load_checkpoint(path_b)
+    for a, b in ((ma.state_arrays(), mb.state_arrays()), (xa, xb)):
+        assert a.keys() == b.keys()
+        for k in a:
+            np.testing.assert_array_equal(a[k], b[k], err_msg=k)
 
 
 class TestReconstructionLoss:
@@ -152,10 +161,20 @@ class TestSplitInvariance:
     """A step gives the same bits whichever process computes each microstep."""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_workers_match_sequential_step(self, n_workers, corpus_manifest):
+    def test_workers_match_sequential_step(self, n_workers, corpus_manifest,
+                                           tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        real_microstep = training.microstep
+
+        def logged_microstep(*args):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_microstep(*args)
+
+        # patched before the helpers fork, so that they inherit it
+        monkeypatch.setattr(training, "microstep", logged_microstep)
         cfg = tiny_model_config()
         with MicrostepWorkers(cfg, n_workers) as workers:
-            assert workers.wait_ready(JOIN_TIMEOUT_S) == n_workers
             for size in (1, 2, 3, 8):
                 batch = varied_batch(corpus_manifest, size)
                 runs = []
@@ -168,6 +187,10 @@ class TestSplitInvariance:
                     arrays.update({f"opt.m.{k}": v for k, v in opt.m.items()})
                     arrays.update({f"opt.v.{k}": v for k, v in opt.v.items()})
                     runs.append((losses, arrays))
+                    if w is workers:   # a later share ran in each helper
+                        computed_in = set(pids.read_text().split())
+                        assert len(computed_in) == min(size, 1 + n_workers), size
+                        pids.unlink()
                 (split_loss, split), (seq_loss, seq) = runs
                 assert split_loss == seq_loss, size
                 assert split.keys() == seq.keys()
@@ -182,7 +205,6 @@ class TestSplitInvariance:
         batch[1].logmel = np.full_like(batch[1].logmel, np.inf)
         model = S2VCModel(cfg, seed=0)
         with MicrostepWorkers(cfg, 1) as workers:
-            assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
             with pytest.raises(TrainingError, match=batch[1].utterance_id):
                 train_step(model, batch, AdamW(model.params),
                            np.random.default_rng(0), workers=workers)
@@ -206,29 +228,41 @@ class TestRunTraining:
 
     def test_worker_run_matches_sequential_run(self, corpus_manifest, tmp_path,
                                                monkeypatch):
-        real_step = training.train_step
-
-        def with_ready_worker(*args, workers, **kwargs):
-            assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
-            return real_step(*args, workers=workers, **kwargs)
-
         monkeypatch.setattr(cpus, "spare_cpus", lambda: 0)
         sequential = run_training(tiny_cfg(corpus_manifest, tmp_path / "a", max_steps=3))
         monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
-        monkeypatch.setattr(training, "train_step", with_ready_worker)
         split = run_training(tiny_cfg(corpus_manifest, tmp_path / "b", max_steps=3))
         assert_no_child_process()
         logs = [[(r["step"], r["loss"]) for r in map(json.loads, (
             path.parent / "train_log.jsonl").read_text().splitlines())]
             for path in (sequential, split)]
         assert logs[0] == logs[1] and len(logs[0]) == 3
-        # parameters, buffers, and the optimizer moments among the extra arrays
-        ma, _, _, xa = load_checkpoint(sequential)
-        mb, _, _, xb = load_checkpoint(split)
-        for a, b in ((ma.state_arrays(), mb.state_arrays()), (xa, xb)):
-            assert a.keys() == b.keys()
-            for k in a:
-                np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+        assert_checkpoints_equal(sequential, split)
+
+    def test_script_without_main_guard(self, corpus_manifest, tmp_path,
+                                       monkeypatch):
+        """A script that calls run_training at top level, with a helper,
+        runs to the end and trains as a helper-free run does."""
+        script = tmp_path / "train_script.py"
+        script.write_text(
+            "import sys\n"
+            "from s2vc import cpus\n"
+            "from s2vc.training import TrainConfig, run_training\n"
+            "from toycorpus import tiny_model_config\n"
+            "cpus.spare_cpus = lambda: 1\n"
+            "run_training(TrainConfig(learning_rate=1e-3, batch_size=2, max_steps=2,\n"
+            "                         checkpoint_every=0, manifest=sys.argv[1],\n"
+            "                         out_dir=sys.argv[2], model=tiny_model_config()))\n")
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        proc = subprocess.run([sys.executable, str(script), str(corpus_manifest),
+                               str(tmp_path / "script")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 0)
+        alone = run_training(tiny_cfg(corpus_manifest, tmp_path / "alone", max_steps=2))
+        assert_checkpoints_equal(tmp_path / "script" / "checkpoint_final.s2vc", alone)
 
     @pytest.mark.usefixtures("one_worker")
     def test_log_lines_written(self, corpus_manifest, tmp_path):
@@ -270,8 +304,7 @@ class TestRunTraining:
             if len(poisoned) < 2:
                 poisoned.append(None)
             else:
-                # the worker computes the second half of a batch of two
-                assert workers.wait_ready(JOIN_TIMEOUT_S) == 1
+                # the helper computes the second half of a batch of two
                 batch[1].logmel = np.full_like(batch[1].logmel, np.inf)
                 poisoned.append(batch[1].utterance_id)
             return real_step(model, batch, *args, workers=workers, **kwargs)
