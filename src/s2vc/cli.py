@@ -118,10 +118,14 @@ def resolve_train_config(config_file=None, overrides=None):
 
 
 def _global_seed(seed):
+    """``--seed``, else ``S2VC_SEED``, else 0."""
     if seed is not None:
-        return int(seed)
-    env = os.environ.get("S2VC_SEED")
-    return int(env) if env else 0
+        return seed
+    env = os.environ.get("S2VC_SEED") or "0"
+    if not env.isdecimal():
+        _fail(f"invalid S2VC_SEED {env!r}: expected a non-negative integer",
+              EXIT_USAGE)
+    return int(env)
 
 
 def _fail(message, code):
@@ -232,7 +236,7 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
 @click.option("--manifest", default=None)
 @click.option("--out-dir", default=None)
 @click.option("--max-steps", type=click.IntRange(min=0), default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--source-kind", default=None)
 @click.option("--target-kind", default=None)
 @click.option("--ablation", default=None,
@@ -307,13 +311,13 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
         if not Path(out_path).parent.is_dir():
             _fail(f"output directory not found: {Path(out_path).parent}",
                   EXIT_USAGE)
-    with cpus.Shares(cpus.spare_cpus()) as shares:
+    with cpus.Shares(cpus.spare_cpus()):
         try:
-            mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint, shares=shares)
+            mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
             src = features.load_feature_file(source)
             tgts = [features.load_feature_file(t) for t in targets]
             audio, trace, _ = evaluate.convert(mdl, src, tgts, mel_cfg,
-                                               n_gl_iter=gl_iters, shares=shares)
+                                               n_gl_iter=gl_iters)
             dsp.write_wav(out_wav, audio)
             if dump_trace:
                 model_mod.write_trace(dump_trace, trace)
@@ -330,19 +334,20 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
               show_default=True)
 @click.option("--n-pairs", type=click.IntRange(min=1), default=400,
               show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out-dir", default="eval_out", show_default=True)
 def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
     """Objective evaluation: SV accuracy plus a reconstruction-error proxy."""
     from . import evaluate, model as model_mod
 
+    seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
     _steady_heap()
     try:
         mdl, _, extra, _ = model_mod.load_checkpoint(checkpoint)
         manifest = Manifest.load(manifest_path)
         result = evaluate.run_eval(mdl, manifest, scenario, n_pairs,
-                                   _global_seed(seed), out_dir,
+                                   seed, out_dir,
                                    train_speakers=extra.get("train_speakers"))
     except (evaluate.EvalError, model_mod.ModelError, features.FeatureError,
             OSError) as e:
@@ -354,18 +359,18 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
 @click.argument("checkpoint", type=click.Path())
 @click.argument("manifest_path", type=click.Path())
 @click.option("--site", type=click.Choice(["Q", "K", "V"]), required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", "out_json", default=None)
 def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
     """Linear speaker-information probe on an attention site."""
     from . import evaluate, model as model_mod
 
+    seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
     try:
         mdl, _, _, _ = model_mod.load_checkpoint(checkpoint)
         manifest = Manifest.load(manifest_path)
-        res = evaluate.probe_speaker_info(mdl, manifest, site,
-                                          seed=_global_seed(seed))
+        res = evaluate.probe_speaker_info(mdl, manifest, site, seed=seed)
     except (evaluate.EvalError, model_mod.ModelError, features.FeatureError,
             OSError) as e:
         _fail(str(e), EXIT_RUNTIME)
@@ -385,7 +390,7 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
 @click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--n-pairs", type=click.IntRange(min=1), default=20,
               show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     """Train and evaluate all 7 ablation configurations on shared seeds/pairs.
 

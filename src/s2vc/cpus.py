@@ -8,9 +8,11 @@ NumPy and BLAS release the interpreter lock, so the shares overlap.  Every
 split in the package gives the same bits as the unsplit work: the callers
 split only work whose rows are computed independently.
 
-``SERIAL`` is the set with no threads, under which every share is the whole
-of the work, run inline; it is what every caller gets unless it is handed
-another set.
+The set a thread splits its work across is ambient, as the recording tape
+is: ``with Shares(n):`` makes it the calling thread's ``active()`` set until
+the block ends.  Elsewhere, and inside every share, ``active()`` is
+``SERIAL``, the set with no threads, under which every share is the whole of
+the work, run inline.
 
 A ``Helper`` is the package's one child process: ``s2vc eval`` trains its
 speaker embedder in one, and training computes microsteps in them.
@@ -25,7 +27,7 @@ import pickle
 import signal
 import threading
 
-__all__ = ["spare_cpus", "Shares", "SERIAL", "Helper", "HelperExited"]
+__all__ = ["spare_cpus", "Shares", "SERIAL", "active", "Helper", "HelperExited"]
 
 
 def spare_cpus():
@@ -49,90 +51,68 @@ def _outcome(task):
         return False, e
 
 
-def _serve(inbox):
-    """A share thread's loop: work on each split it is sent; ``None`` ends
-    the loop."""
-    while (split := inbox.get()) is not None:
-        split.work()
-
-
-class _Split:
-    """The tasks of one ``Shares.run``.  Task 0 is the caller's; each other
-    task is claimed once, in list order, by whichever thread asks first."""
-
-    def __init__(self, tasks):
-        import queue  # only a command that starts threads pays for it
-
-        self.tasks = tasks
-        self.done = queue.SimpleQueue()   # (index, outcome) of each claimed task
-        self._todo = queue.SimpleQueue()
-        self._empty = queue.Empty
-        for index in range(1, len(tasks)):
-            self._todo.put(index)
-
-    def work(self):
-        """Run unclaimed tasks until none is left."""
-        while True:
-            try:
-                index = self._todo.get_nowait()
-            except self._empty:
-                return
-            self.done.put((index, _outcome(self.tasks[index])))
-
-
 class Shares:
-    """The calling thread plus ``n_threads`` threads of its own.
+    """The calling thread plus a pool of ``n_threads`` threads.
 
-    Task 0 of every split runs on the calling thread, and the set's threads
+    Task 0 of every split runs on the calling thread, and the pool's threads
     and the calling thread share the others, so no task waits behind another
-    while a thread is idle.  A share must not split its own work again.
-    Close the set (or use it as a context manager) to stop its threads.
+    while a thread is idle.  Every task runs with ``SERIAL`` active, so a
+    share never splits its own work again.  Use the set as a context
+    manager to make it the active set of the block, and to stop its threads
+    when the block ends.
     """
 
     def __init__(self, n_threads=0):
         self.count = n_threads + 1
-        self._inboxes = []
-        self._threads = []
+        self._pool = None
         if n_threads:
-            import queue
+            # only a command that starts threads pays for the import
+            from concurrent.futures import ThreadPoolExecutor
 
-            for i in range(n_threads):
-                inbox = queue.SimpleQueue()
-                thread = threading.Thread(target=_serve, args=(inbox,),
-                                          name=f"s2vc-share-{i + 1}", daemon=True)
-                thread.start()
-                self._inboxes.append(inbox)
-                self._threads.append(thread)
+            self._pool = ThreadPoolExecutor(n_threads, thread_name_prefix="s2vc-share")
 
     def run(self, tasks):
         """Call every zero-argument task in ``tasks``; returns their results.
 
-        Task 0 runs on the calling thread.  The set's threads take the
+        Task 0 runs on the calling thread.  The pool's threads take the
         others in list order, and so does the calling thread once task 0 is
-        done: a thread that is slow to wake leaves its task to the caller.
-        Every task finishes before this returns or raises; the exception of
-        the first task, in list order, that raised one is raised.
+        done: a task no thread has started is run by the caller.  Every task
+        finishes before this returns or raises; the exception of the first
+        task, in list order, that raised one is raised.
         """
-        if len(tasks) < 2 or not self._inboxes:
-            outcomes = [_outcome(task) for task in tasks]
-        else:
-            split = _Split(tasks)
-            for inbox in self._inboxes:
-                inbox.put(split)
-            outcomes = [None] * len(tasks)
-            try:
-                outcomes[0] = _outcome(tasks[0])
-                split.work()
-            finally:  # the other threads may still be writing the caller's arrays
-                for _ in range(len(tasks) - 1):
-                    index, outcome = split.done.get()
-                    outcomes[index] = outcome
+        previous, _active.shares = _active.shares, SERIAL
+        try:
+            if len(tasks) < 2 or self._pool is None:
+                outcomes = [_outcome(task) for task in tasks]
+            else:
+                outcomes = self._split(tasks)
+        finally:
+            _active.shares = previous
         results = []
         for ok, value in outcomes:
             if not ok:
                 raise value
             results.append(value)
         return results
+
+    def _split(self, tasks):
+        """The outcomes of ``tasks``: task 0 on this thread, and each other
+        on whichever thread starts it first."""
+        futures = [self._pool.submit(_outcome, task) for task in tasks[1:]]
+        outcomes = [_outcome(tasks[0])] + [None] * len(futures)
+        try:
+            for i, future in enumerate(futures, 1):
+                if future.cancel():   # no pool thread has started it
+                    outcomes[i] = _outcome(tasks[i])
+            for i, future in enumerate(futures, 1):
+                if outcomes[i] is None:
+                    outcomes[i] = future.result()
+        except BaseException:   # the pool may still be writing the caller's arrays
+            for future in futures:
+                if not future.cancel():
+                    future.result()
+            raise
+        return outcomes
 
     def ranges(self, n, min_rows=1):
         """Contiguous ``(lo, hi)`` row ranges that cover ``range(n)``, one
@@ -150,22 +130,35 @@ class Shares:
 
     def close(self):
         """Stop the threads; the set then runs every share inline."""
-        for inbox in self._inboxes:
-            inbox.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._inboxes, self._threads = [], []
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         self.count = 1
 
     def __enter__(self):
+        self._outer, _active.shares = _active.shares, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        _active.shares = self._outer
         self.close()
         return False
 
 
 SERIAL = Shares()
+
+
+class _Active(threading.local):
+    shares = SERIAL
+
+
+_active = _Active()
+
+
+def active():
+    """The calling thread's active set: the innermost ``with Shares(...)``
+    block's, or ``SERIAL`` outside every block and inside every share."""
+    return _active.shares
 
 
 class HelperExited(Exception):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cpus import SERIAL
+from . import cpus
 
 __all__ = [
     "AudioBuffer",
@@ -408,16 +408,16 @@ def mel_to_linear(log_mel_frames, cfg):
     return np.maximum(linear, 0.0)
 
 
-def griffin_lim(spec, cfg=None, n_iter=60, seed=0, shares=SERIAL):
+def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
     """Phase recovery from a log-mel spectrogram; returns peak-normalized audio.
 
     The per-iteration consistency residuals are attached to the returned
     buffer as ``buf.residuals`` for inspection.
 
-    Each iteration is split across ``shares`` twice: by frames for the
-    framing, transforms and rephasing, then by output blocks for the
-    overlap-add.  The residual is taken over all frames at once, so samples
-    and residuals are the same bits for any number of shares.
+    Each iteration is split across the active ``cpus.Shares`` twice: by
+    frames for the framing, transforms and rephasing, then by output blocks
+    for the overlap-add.  The residual is taken over all frames at once, so
+    samples and residuals are the same bits for any number of shares.
     """
     cfg = cfg or spec.config
     if spec.frames.ndim != 2 or spec.frames.shape[1] != cfg.n_mels:
@@ -460,6 +460,7 @@ def griffin_lim(spec, cfg=None, n_iter=60, seed=0, shares=SERIAL):
         np.multiply(scratch, scratch, out=scratch)
         residuals.append(float(np.sqrt(scratch.sum())))
 
+    shares = cpus.active()
     np.fft.irfft(target * phase, n=cfg.n_fft, axis=1, out=frames)
     shares.rows(synthesis.n_blocks, synthesize)
     synthesis_shares = [functools.partial(synthesize, lo, hi)

@@ -17,7 +17,6 @@ import numpy as np
 from . import cpus, dsp
 from . import nn
 from . import tensor as T
-from .cpus import SERIAL
 from .features import align_frame_rate
 from .tensor import AdamW, GradTape, Tensor
 
@@ -57,10 +56,6 @@ class TestPair:
             raise EvalError("target utterances must share a speaker")
         if self.source.speaker_id == spk:
             raise EvalError("source and target speakers must differ")
-
-    @property
-    def pair_id(self):
-        return f"{self.source.utterance_id}__to__{self.targets[0].speaker_id}"
 
 
 def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
@@ -117,15 +112,15 @@ def load_mels(manifest):
             for e in manifest.entries}
 
 
-def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60, shares=SERIAL):
+def convert(model, src, tgts, mel_cfg=None, n_gl_iter=60):
     """Convert ``src`` toward the speaker of ``tgts`` (FeatureSequences);
     returns (AudioBuffer, AttentionTrace, mel prediction).  The network and
-    Griffin-Lim split their row-wise work across ``shares``; the result is
-    the same bits for any number of shares."""
+    Griffin-Lim split their row-wise work across the active ``cpus.Shares``;
+    the result is the same bits for any number of shares."""
     mel_cfg = mel_cfg or dsp.MelConfig()
-    mel_pred, trace = model.forward(src, tgts, train=False, shares=shares)
+    mel_pred, trace = model.forward(src, tgts, train=False)
     spec = dsp.Spectrogram(frames=mel_pred.data.astype(np.float32), config=mel_cfg)
-    audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter, shares=shares)
+    audio = dsp.griffin_lim(spec, mel_cfg, n_iter=n_gl_iter)
     return audio, trace, mel_pred.data
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import nn
+from . import cpus, nn
 from . import tensor as T
-from .cpus import SERIAL
 from .dsp import MelConfig, write_atomic
 from .features import align_frame_rate, resolve_kind
 from .tensor import Tensor
@@ -192,26 +191,26 @@ class S2VCModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def source_encode(self, src, train=False, bn_stats=None, shares=SERIAL):
+    def source_encode(self, src, train=False, bn_stats=None):
         cfg = self.config
         self._check_seq(src, cfg.source_feature_kind, cfg.resolved_source_dim(),
                         "source")
         h = Tensor(src.frames)
         for i in range(cfg.n_source_layers):
-            h = nn.linear(self.params, f"src.{i}", h, shares)
+            h = nn.linear(self.params, f"src.{i}", h)
             h = nn.batchnorm(self.params, self.buffers, f"src.{i}.bn", h, train,
                              bn_stats)
             if i < cfg.n_source_layers - 1:
                 h = T.relu(h)
         return h
 
-    def target_encode(self, tgt, train=False, shares=SERIAL):
+    def target_encode(self, tgt, train=False):
         cfg = self.config
         self._check_seq(tgt, cfg.target_feature_kind, cfg.resolved_target_dim(),
                         "target")
         h = Tensor(tgt.frames)
         for i in range(cfg.n_target_conv):
-            h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h, shares))
+            h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h))
         return h
 
     def _check_seq(self, seq, kind, dim, role):
@@ -228,7 +227,7 @@ class S2VCModel:
 
     # -- attention ---------------------------------------------------------
 
-    def cross_attention(self, src_h, tgt_h, shares=SERIAL):
+    def cross_attention(self, src_h, tgt_h):
         """The attention block; returns (output, AttentionTrace)."""
         cfg = self.config
         if not cfg.use_cross_attention:
@@ -243,16 +242,16 @@ class S2VCModel:
         if tgt_h.shape[0] < 1:
             raise ModelError("cross attention needs at least one target frame")
 
-        q = nn.linear(self.params, "attn.0.wq", src_h, shares)
-        k = nn.linear(self.params, "attn.0.wk", tgt_h, shares)
-        v = nn.linear(self.params, "attn.0.wv", tgt_h, shares)
+        q = nn.linear(self.params, "attn.0.wq", src_h)
+        k = nn.linear(self.params, "attn.0.wk", tgt_h)
+        v = nn.linear(self.params, "attn.0.wv", tgt_h)
         if cfg.use_instance_norm and src_h.shape[0] > 1:
             q = nn.instance_norm(q)
         if cfg.use_instance_norm and tgt_h.shape[0] > 1:
             k = nn.instance_norm(k)
         if cfg.use_bottleneck:
-            q = nn.linear(self.params, "attn.0.bq", q, shares)
-            k = nn.linear(self.params, "attn.0.bk", k, shares)
+            q = nn.linear(self.params, "attn.0.bq", q)
+            k = nn.linear(self.params, "attn.0.bk", k)
         scale = 1.0 / float(np.sqrt(cfg.attn_dim))
         attended, weights = T.attention(q, k, v, 1, scale)
         out = attended + src_h
@@ -266,16 +265,16 @@ class S2VCModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decode(self, h, train=False, bn_stats=None, shares=SERIAL):
+    def decode(self, h, train=False, bn_stats=None):
         cfg = self.config
         for i in range(cfg.n_decoder_conformer):
             h = nn.conformer_block(self.params, self.buffers, f"dec.{i}", h, cfg,
-                                   train=train, bn_stats=bn_stats, shares=shares)
-        return nn.linear(self.params, "dec.out", h, shares)
+                                   train=train, bn_stats=bn_stats)
+        return nn.linear(self.params, "dec.out", h)
 
     # -- full forward ------------------------------------------------------
 
-    def attend(self, src_h, tgt_encodings, shares=SERIAL):
+    def attend(self, src_h, tgt_encodings):
         """Condition the source encoding on the target encodings.
 
         ``tgt_encodings`` holds one ``target_encode`` result per target
@@ -287,12 +286,12 @@ class S2VCModel:
         if self.config.use_sap:
             pooled = nn.self_attention_pool(self.params, "sap", tgt_h)  # 1 x d
             src_h = src_h + pooled
-        h, trace = self.cross_attention(src_h, tgt_h, shares)
+        h, trace = self.cross_attention(src_h, tgt_h)
         if pooled is not None:
             trace.pooled_target = pooled.data.reshape(-1).astype(np.float32, copy=True)
         return h, trace
 
-    def forward(self, src, tgts, train=False, bn_stats=None, shares=SERIAL):
+    def forward(self, src, tgts, train=False, bn_stats=None):
         """Run the conversion network.
 
         ``src`` is one FeatureSequence, ``tgts`` a non-empty list of
@@ -301,23 +300,21 @@ class S2VCModel:
         In train mode a ``bn_stats`` list collects each batch norm's batch
         statistics instead of their update of the running averages (see
         ``nn.batchnorm``).  Without a tape, row-wise work is split across
-        ``shares``.
+        the active ``cpus.Shares``.
         """
         if not isinstance(tgts, list) or not tgts:
             raise ModelError("forward needs a non-empty list of target sequences")
         speakers = sorted({s.speaker_id for s in tgts})
         if len(speakers) > 1:
             raise ModelError(f"target utterances mix speakers {speakers}")
-        src_h = self.source_encode(src, train=train, bn_stats=bn_stats,
-                                   shares=shares)
+        src_h = self.source_encode(src, train=train, bn_stats=bn_stats)
         # encode per utterance so conv padding never leaks across utterance
         # boundaries
         tgt_encodings = [
-            self.target_encode(align_frame_rate(s, src.fps), train=train,
-                               shares=shares)
+            self.target_encode(align_frame_rate(s, src.fps), train=train)
             for s in tgts]
-        h, trace = self.attend(src_h, tgt_encodings, shares)
-        return self.decode(h, train=train, bn_stats=bn_stats, shares=shares), trace
+        h, trace = self.attend(src_h, tgt_encodings)
+        return self.decode(h, train=train, bn_stats=bn_stats), trace
 
     # -- parameter access --------------------------------------------------
 
@@ -405,12 +402,12 @@ def _parse_blob(buf, path):
     return meta, arrays
 
 
-def _unpack_blob_file(buf, magic, path, shares=SERIAL):
+def _unpack_blob_file(buf, magic, path):
     """Parse a container held whole in ``buf``, bytes or a read-only map.
 
-    The CRC is computed as one share and the parse as another.  A CRC
-    mismatch is reported even when the parse fails too, so a corrupted file
-    is always named as such.
+    The CRC is computed as one share of the active set and the parse as
+    another.  A CRC mismatch is reported even when the parse fails too, so a
+    corrupted file is always named as such.
     """
     if len(buf) < 8 or buf[:4] != magic:
         raise CheckpointError(f"{path}: bad magic")
@@ -421,7 +418,7 @@ def _unpack_blob_file(buf, magic, path, shares=SERIAL):
             if zlib.crc32(payload) != crc:
                 raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
 
-    return shares.run([check_crc, lambda: _parse_blob(buf, path)])[1]
+    return cpus.active().run([check_crc, lambda: _parse_blob(buf, path)])[1]
 
 
 def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=None):
@@ -461,19 +458,18 @@ def _fold_pre_norm_biases(config, arrays):
         rm -= b.reshape(rm.shape)
 
 
-def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None,
-                    shares=SERIAL):
+def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
     """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays).
 
     The file is memory-mapped while it loads, and its CRC is computed beside
-    the parse when ``shares`` has a thread; no returned array refers to the
-    map, which is closed before this returns.
+    the parse when the active ``cpus.Shares`` has a thread; no returned array
+    refers to the map, which is closed before this returns.
     """
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
             raise CheckpointError(f"{path}: bad magic")
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
-            meta, arrays = _unpack_blob_file(buf, CHECKPOINT_MAGIC, path, shares)
+            meta, arrays = _unpack_blob_file(buf, CHECKPOINT_MAGIC, path)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         mel_cfg = MelConfig.from_dict(meta["mel_config"])

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import cpus
 from . import tensor as T
-from .cpus import SERIAL
 from .tensor import Tensor
 
 BN_EPS = 1e-5
@@ -48,11 +48,11 @@ def init_linear(params, name, d_in, d_out, rng, bias=True):
         params[f"{name}.b"] = _filled(0.0, (1, d_out), rng is None)
 
 
-def linear(params, name, x, shares=SERIAL):
+def linear(params, name, x):
     b = params.get(f"{name}.b")
     if b is None:
-        return T.matmul(x, params[f"{name}.w"], shares)
-    return T.linear(x, params[f"{name}.w"], b, shares)
+        return T.matmul(x, params[f"{name}.w"])
+    return T.linear(x, params[f"{name}.w"], b)
 
 
 def init_batchnorm(params, buffers, name, dim, shape_only=False):
@@ -112,8 +112,8 @@ def init_conv1d(params, name, c_in, c_out, kernel, rng):
     params[f"{name}.b"] = _filled(0.0, c_out, rng is None)
 
 
-def conv1d(params, name, x, shares=SERIAL):
-    return T.conv1d(x, params[f"{name}.w"], params[f"{name}.b"], shares)
+def conv1d(params, name, x):
+    return T.conv1d(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 swish = T.swish
@@ -126,13 +126,13 @@ def init_mhsa(params, name, d_model, rng):
         init_linear(params, f"{name}.{proj}", d_model, d_model, rng, bias=proj != "k")
 
 
-def multi_head_self_attention(params, name, x, n_heads, shares=SERIAL):
-    q = linear(params, f"{name}.q", x, shares)
-    k = linear(params, f"{name}.k", x, shares)
-    v = linear(params, f"{name}.v", x, shares)
+def multi_head_self_attention(params, name, x, n_heads):
+    q = linear(params, f"{name}.q", x)
+    k = linear(params, f"{name}.k", x)
+    v = linear(params, f"{name}.v", x)
     scale = 1.0 / float(np.sqrt(x.shape[1] // n_heads))
     heads, _ = T.attention(q, k, v, n_heads, scale)
-    return linear(params, f"{name}.o", heads, shares)
+    return linear(params, f"{name}.o", heads)
 
 
 def init_conformer_block(params, buffers, name, cfg, rng):
@@ -161,14 +161,14 @@ def _ff_rows(params, name, x):
     return linear(params, f"{name}.out", h)
 
 
-def _ff(params, name, x, shares=SERIAL):
+def _ff(params, name, x):
     """The feed-forward module: layer norm, linear, swish, linear.
 
     Every row is computed alone, so without a tape the rows are split across
-    ``shares``, each share running the whole module with its own matmuls
-    unsplit.
+    the active shares, each share running the whole module with its own
+    matmuls unsplit.
     """
-    if shares.count == 1 or T.GradTape._active is not None:
+    if T.GradTape._active is not None or (shares := cpus.active()).count == 1:
         return _ff_rows(params, name, x)
     parts = shares.rows(
         x.shape[0],
@@ -177,19 +177,18 @@ def _ff(params, name, x, shares=SERIAL):
     return Tensor._wrap(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
-def conformer_block(params, buffers, name, x, cfg, train=False, bn_stats=None,
-                    shares=SERIAL):
+def conformer_block(params, buffers, name, x, cfg, train=False, bn_stats=None):
     """Pre-norm conformer: half-step FF, MHSA, conv module, half-step FF, LN."""
-    x = x + 0.5 * _ff(params, f"{name}.ff1", x, shares)
+    x = x + 0.5 * _ff(params, f"{name}.ff1", x)
     attn_in = layer_norm(params, f"{name}.attn.ln", x)
     x = x + multi_head_self_attention(params, f"{name}.attn", attn_in,
-                                      cfg.conformer_heads, shares)
+                                      cfg.conformer_heads)
     c = layer_norm(params, f"{name}.conv.ln", x)
-    c = glu(linear(params, f"{name}.conv.pw1", c, shares))
+    c = glu(linear(params, f"{name}.conv.pw1", c))
     c = T.depthwise_conv1d(c, params[f"{name}.conv.dw.w"])
     c = swish(batchnorm(params, buffers, f"{name}.conv.bn", c, train, bn_stats))
-    x = x + linear(params, f"{name}.conv.pw2", c, shares)
-    x = x + 0.5 * _ff(params, f"{name}.ff2", x, shares)
+    x = x + linear(params, f"{name}.conv.pw2", c)
+    x = x + 0.5 * _ff(params, f"{name}.ff2", x)
     return layer_norm(params, f"{name}.final.ln", x)
 
 

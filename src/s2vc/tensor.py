@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpus import SERIAL
+from . import cpus
 
 __all__ = [
     "Tensor",
@@ -466,11 +466,11 @@ def min_share_rows(d_in, d_out):
     return -(-MIN_SHARE_MACS // max(1, d_in * d_out))
 
 
-def _matmul_rows(a, b, shares):
-    """``a @ b`` for 2-D arrays, the rows of ``a`` split across ``shares``
-    unless a tape is recording.  Each row of the product is computed alone,
-    so the split gives the same bits."""
-    if shares.count == 1 or GradTape._active is not None:
+def _matmul_rows(a, b):
+    """``a @ b`` for 2-D arrays, the rows of ``a`` split across the active
+    ``cpus.Shares`` unless a tape is recording.  Each row of the product is
+    computed alone, so the split gives the same bits."""
+    if GradTape._active is not None or (shares := cpus.active()).count == 1:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
@@ -481,10 +481,10 @@ def _matmul_rows(a, b, shares):
     return out
 
 
-def matmul(a, b, shares=SERIAL):
+def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    res = _matmul_rows(a.data, b.data, shares)
+    res = _matmul_rows(a.data, b.data)
 
     def bw(g):
         return (g @ b.data.T if a.requires_grad else None,
@@ -493,15 +493,15 @@ def matmul(a, b, shares=SERIAL):
     return _make(res, "matmul", (a, b), bw)
 
 
-def linear(x, w, b, shares=SERIAL):
+def linear(x, w, b):
     """``x @ w + b``: ``x`` is T x d_in, ``w`` d_in x d_out, ``b`` 1 x d_out.
 
-    Without a tape the rows of ``x`` are split across ``shares``.
+    Without a tape the rows of ``x`` are split across the active shares.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (1, w.shape[1])):
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
-    res = _matmul_rows(x.data, w.data, shares)
+    res = _matmul_rows(x.data, w.data)
     res += b.data
 
     def bw(g):
@@ -762,11 +762,11 @@ def cols(x, start, stop):
 # ---------------------------------------------------------------------------
 # convolutions along the time axis
 
-def conv1d(x, w, b, shares=SERIAL):
+def conv1d(x, w, b):
     """Same-padded 1-D convolution over time.
 
     ``x`` is T x C_in, ``w`` is C_out x C_in x k, ``b`` is (C_out,).  Without
-    a tape the rows of the im2col product are split across ``shares``.
+    a tape the rows of the im2col product are split across the active shares.
     """
     t_len, c_in = x.shape
     c_out, c_in_w, k = w.shape
@@ -778,7 +778,7 @@ def conv1d(x, w, b, shares=SERIAL):
     # im2col: (T, C_in * k) @ (C_in * k, C_out)
     col = np.stack([xp[j:j + t_len] for j in range(k)], axis=2).reshape(t_len, c_in * k)
     wm = w.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
-    res = _matmul_rows(col, wm, shares)
+    res = _matmul_rows(col, wm)
     res += b.data
 
     def bw(g):

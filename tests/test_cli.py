@@ -610,8 +610,8 @@ class TestAblate:
 
 def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     """The command line of one case of TestFaultMatrix."""
-    if case.endswith(("below 0", "below 1")):   # an option value under its floor
-        command, option, _, floor = case.split()
+    if case.endswith(("below 0", "below 1")) or "seed" in case.lower():
+        command = case.split()[0]
         config = ["--config", str(write_tiny_config(tmp_path / "c.cfg")),
                   "--manifest", str(corpus_manifest), "--out-dir", str(tmp_path / "o")]
         by_spk = Manifest.load(corpus_manifest).speakers()
@@ -619,11 +619,18 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
                 "ablate": ["ablate", *config, "--max-steps", "1", "--n-pairs", "2"],
                 "eval": ["eval", str(checkpoint), str(corpus_manifest),
                          "--out-dir", str(tmp_path / "o")],
+                "probe": ["probe", str(checkpoint), str(corpus_manifest),
+                          "--site", "Q"],
                 "convert": ["convert", str(checkpoint),
                             by_spk["spkA"][0].features["mel"],
                             *[e.features["mel"] for e in by_spk["spkB"][:5]],
                             "--out", str(tmp_path / "o.wav")]}[command]
-        return [*args, option, str(int(floor) - 1)]
+        if case.endswith(("below 0", "below 1")):   # an option value under its floor
+            _, option, _, floor = case.split()
+            return [*args, option, str(int(floor) - 1)]
+        if "--seed" in case:   # a value that is no integer
+            return [*args, "--seed", case.split()[-1]]
+        return args   # the seed comes from S2VC_SEED
     if case.startswith("train"):
         resume = tmp_path / "resume.s2vc"
         if case == "train --resume 4-byte file":
@@ -695,6 +702,16 @@ class TestFaultMatrix:
         "eval --n-pairs below 1": (2, "Invalid value for '--n-pairs'"),
         "ablate --n-pairs below 1": (2, "Invalid value for '--n-pairs'"),
         "ablate --max-steps below 0": (2, "Invalid value for '--max-steps'"),
+        "train --seed below 0": (2, "Invalid value for '--seed'"),
+        "eval --seed below 0": (2, "Invalid value for '--seed'"),
+        "probe --seed below 0": (2, "Invalid value for '--seed'"),
+        "ablate --seed below 0": (2, "Invalid value for '--seed'"),
+        "train --seed 1.5": (2, "Invalid value for '--seed'"),
+        "eval --seed abc": (2, "Invalid value for '--seed'"),
+        "train with S2VC_SEED=abc": (2, "invalid S2VC_SEED 'abc'"),
+        "eval with S2VC_SEED=-1": (2, "invalid S2VC_SEED '-1'"),
+        "probe with S2VC_SEED=1.5": (2, "invalid S2VC_SEED '1.5'"),
+        "ablate with S2VC_SEED=-2": (2, "invalid S2VC_SEED '-2'"),
     }
     # the work each case must not start before it fails
     EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child
@@ -712,7 +729,8 @@ class TestFaultMatrix:
             monkeypatch.setattr(model, "load_checkpoint", pytest.fail)
         if args[0] in self.EXPENSIVE:   # the out dir is checked first
             monkeypatch.setattr(*self.EXPENSIVE[args[0]], pytest.fail)
-        res = runner.invoke(main, args)
+        env = {"S2VC_SEED": case.split("=")[1]} if "S2VC_SEED=" in case else {}
+        res = runner.invoke(main, args, env=env)
         monkeypatch.undo()
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == code, res.output

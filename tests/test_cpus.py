@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from s2vc import cpus, tensor as T
-from s2vc.cpus import SERIAL, Shares
+from s2vc import cpus, nn, tensor as T
+from s2vc.cpus import Shares
+from s2vc.model import ModelConfig
 from s2vc.tensor import GradTape, Tensor
 
 
@@ -35,8 +36,8 @@ class TestShares:
                                    for i in range(7)])
                 assert [i for i, _ in done] == list(range(7))
                 assert done[0][1] == main
-                assert {name for _, name in done} <= {main, "s2vc-share-1",
-                                                      "s2vc-share-2"}
+                assert all(name == main or name.startswith("s2vc-share")
+                           for _, name in done)
 
     def test_thread_takes_a_task_while_the_caller_works(self):
         other_started = threading.Event()
@@ -51,7 +52,32 @@ class TestShares:
 
         with Shares(1) as shares:
             names = shares.run([task_zero, task_one])
-        assert names == [threading.current_thread().name, "s2vc-share-1"]
+        assert names[0] == threading.current_thread().name
+        assert names[1].startswith("s2vc-share")
+
+    def test_caller_claims_a_task_no_thread_started(self):
+        """The pool's one thread is held by task 1 until task 2 has run, so
+        only the caller can run task 2."""
+        one_started, two_ran = threading.Event(), threading.Event()
+
+        def task_zero():
+            assert one_started.wait(30)
+            return 0, threading.current_thread().name
+
+        def task_one():
+            one_started.set()
+            assert two_ran.wait(30)
+            return 1, threading.current_thread().name
+
+        def task_two():
+            two_ran.set()
+            return 2, threading.current_thread().name
+
+        main = threading.current_thread().name
+        with Shares(1) as shares:
+            done = shares.run([task_zero, task_one, task_two])
+        assert [i for i, _ in done] == [0, 1, 2]
+        assert done[0][1] == done[2][1] == main != done[1][1]
 
     @pytest.mark.parametrize("n_threads", [0, 1, 3])
     def test_rows_cover_in_order(self, n_threads):
@@ -80,10 +106,56 @@ class TestShares:
     def test_close_stops_threads(self):
         before = threading.active_count()
         shares = Shares(3)
-        assert threading.active_count() == before + 3
+        assert shares.run([lambda: 1, lambda: 2, lambda: 3, lambda: 4]) == [1, 2, 3, 4]
+        assert before < threading.active_count() <= before + 3
         shares.close()
         assert threading.active_count() == before
         assert shares.run([lambda: 1, lambda: 2]) == [1, 2]
+
+
+class TestActive:
+    """The set a ``with`` block installs is the active one inside the block
+    only, and never inside a share."""
+
+    def test_serial_outside_every_block(self):
+        idle = cpus.active()
+        assert idle.count == 1
+        with Shares(1) as shares:
+            assert cpus.active() is shares
+            with Shares(2) as inner:
+                assert cpus.active() is inner
+            assert cpus.active() is shares
+        assert cpus.active() is idle
+        with pytest.raises(ValueError, match="inside"):
+            with Shares(1):
+                raise ValueError("inside")
+        assert cpus.active() is idle
+
+    def test_serial_inside_a_share_on_the_caller_and_a_pool_thread(self):
+        idle = cpus.active()
+        other_started = threading.Event()
+
+        def task_zero():
+            assert other_started.wait(30)
+            return threading.current_thread().name, cpus.active()
+
+        def task_one():
+            other_started.set()
+            return threading.current_thread().name, cpus.active()
+
+        with Shares(1) as shares:
+            (caller, on_caller), (pool, on_pool) = shares.run([task_zero, task_one])
+            assert cpus.active() is shares
+        assert caller == threading.current_thread().name != pool
+        assert on_caller is on_pool is idle
+
+    def test_set_of_another_thread_is_not_active(self):
+        seen = []
+        with Shares(1):
+            thread = threading.Thread(target=lambda: seen.append(cpus.active()))
+            thread.start()
+            thread.join()
+        assert seen == [cpus.active()]
 
 
 class TestSplitProducts:
@@ -96,24 +168,38 @@ class TestSplitProducts:
         b = Tensor(rng.normal(size=(1, 384)))
         cw = Tensor(rng.normal(size=(256, 512, 5)))
         cb = Tensor(rng.normal(size=256))
-        with RecordingShares(n_threads) as shares:
-            for op in (lambda s: T.linear(x, w, b, s), lambda s: T.matmul(x, w, s),
-                       lambda s: T.conv1d(x, cw, cb, s)):
-                shares.splits.clear()
-                np.testing.assert_array_equal(op(shares).data, op(SERIAL).data)
-                assert shares.splits == [n_threads + 1]
+        for op in (lambda: T.linear(x, w, b), lambda: T.matmul(x, w),
+                   lambda: T.conv1d(x, cw, cb)):
+            want = op().data
+            with RecordingShares(n_threads) as shares:
+                np.testing.assert_array_equal(op().data, want)
+            assert shares.splits == [n_threads + 1]
 
     def test_small_product_and_taped_forward_stay_whole(self, rng):
         x = Tensor(rng.normal(size=(150, 512)), requires_grad=True)
         w = Tensor(rng.normal(size=(512, 512)), requires_grad=True)
         small = Tensor(rng.normal(size=(512, 4)))
         with RecordingShares(1) as shares:
-            T.matmul(x, small, shares)
+            T.matmul(x, small)
             assert shares.splits == [1]
             with GradTape() as tape:
-                loss = T.sum_(T.matmul(x, w, shares))
+                loss = T.sum_(T.matmul(x, w))
             tape.backward(loss)
             assert shares.splits == [1]   # a recorded forward never splits
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_conformer_block_splits_once_per_module(self, n_threads, rng):
+        """A paper-width block splits each feed-forward module and each of
+        its six outer products once, and nothing inside those shares."""
+        cfg = ModelConfig()
+        params, buffers = {}, {}
+        nn.init_conformer_block(params, buffers, "blk", cfg, rng)
+        x = Tensor(rng.normal(size=(120, cfg.d_model)).astype(np.float32))
+        want = nn.conformer_block(params, buffers, "blk", x, cfg).data
+        with RecordingShares(n_threads) as shares:
+            got = nn.conformer_block(params, buffers, "blk", x, cfg).data
+        np.testing.assert_array_equal(got, want)
+        assert shares.splits == [n_threads + 1] * 8
 
 
 class TestHelper:

@@ -410,8 +410,8 @@ class TestGriffinLimShares:
         spec = dsp.Spectrogram(frames=frames, config=cfg)
         want_samples, want_residuals = _reference_griffin_lim(spec, cfg, n_iter=6)
         for n_threads in range(4):   # 1 to 4 shares, some with fewer frames
-            with cpus.Shares(n_threads) as shares:
-                out = griffin_lim(spec, cfg, n_iter=6, shares=shares)
+            with cpus.Shares(n_threads):
+                out = griffin_lim(spec, cfg, n_iter=6)
             np.testing.assert_array_equal(out.samples, want_samples)
             np.testing.assert_array_equal(out.residuals, want_residuals)
 
@@ -425,8 +425,8 @@ class TestGriffinLimShares:
         got = []
 
         def run():
-            with cpus.Shares(3) as shares:
-                got.append(griffin_lim(spec, cfg, n_iter=20, shares=shares))
+            with cpus.Shares(3):
+                got.append(griffin_lim(spec, cfg, n_iter=20))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

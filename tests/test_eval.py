@@ -77,7 +77,8 @@ class TestPairs:
     def test_seed_determinism(self, manifest):
         a = sample_pairs(manifest, n=20, seed=7)
         b = sample_pairs(manifest, n=20, seed=7)
-        assert [p.pair_id for p in a] == [p.pair_id for p in b]
+        assert ([(p.source.utterance_id, p.targets[0].speaker_id) for p in a]
+                == [(p.source.utterance_id, p.targets[0].speaker_id) for p in b])
 
     def test_one_speaker_rejected(self, manifest):
         solo = Manifest([e for e in manifest.entries if e.speaker_id == "spkA"])
@@ -96,7 +97,8 @@ class TestPairs:
         man = Manifest.load(four_speaker_manifest)
         a = sample_pairs(man, n=20, seed=0)
         b = sample_pairs(man, n=20, seed=0, train_speakers=["spkA", "spkB"])
-        assert [p.pair_id for p in a] == [p.pair_id for p in b]
+        assert ([(p.source.utterance_id, p.targets[0].speaker_id) for p in a]
+                == [(p.source.utterance_id, p.targets[0].speaker_id) for p in b])
         assert {p.source.speaker_id for p in a} == {"spkA", "spkB", "spkC", "spkD"}
 
     def test_u2u_needs_recorded_training_speakers(self, four_speaker_manifest):

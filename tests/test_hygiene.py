@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
-or exports a name it does not define, only ``cpus`` makes child processes,
-and every function the traced benchmark wraps still exists and runs on the
-main thread only.
+or exports a name it does not define, only ``cpus`` makes child processes
+and threads, no function is handed a share set, and every function the
+traced benchmark wraps still exists and runs on the main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -141,6 +141,84 @@ def test_only_cpus_forks(module):
     else:
         assert found == []
 
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def thread_imports(source):
+    """Sorted (line, module) of every import of one of ``THREAD_MODULES``,
+    or of a name or submodule of one, in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        found.update((node.lineno, module) for name in names for module in THREAD_MODULES
+                     if name == module or name.startswith(f"{module}."))
+    return sorted(found)
+
+
+def test_thread_checker_sees_every_import_form():
+    source = ("import os, threading\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "from concurrent import futures\n"
+              "import concurrent.futures.thread\n"
+              "from queue import SimpleQueue\n"
+              "from .threading import local\n"
+              "def f():\n"
+              "    import threading as t\n")
+    assert thread_imports(source) == [(1, "threading"), (2, "concurrent.futures"),
+                                      (3, "concurrent.futures"),
+                                      (4, "concurrent.futures"), (8, "threading")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_cpus_starts_threads(module):
+    """``cpus.Shares`` owns every thread: no other module imports
+    ``threading`` or ``concurrent.futures``."""
+    found = thread_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    if module == "cpus.py":
+        assert [what for _, what in found] == ["threading", "concurrent.futures"]
+    else:
+        assert found == []
+
+
+def parameters_named(source, name):
+    """Sorted (line, function) of every function or lambda in ``source`` that
+    has a parameter called ``name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(p is not None and p.arg == name for p in params):
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def test_parameter_checker_sees_every_kind():
+    source = ("def a(x, shares=None): pass\n"
+              "def b(*, shares): pass\n"
+              "f = lambda shares: shares\n"
+              "class K:\n"
+              "    def m(self, shares, /): pass\n"
+              "async def c(*shares, **kw): pass\n"
+              "def d(**shares): shares = 1\n"
+              "def e(x): shares = x\n")
+    assert parameters_named(source, "shares") == [
+        (1, "a"), (2, "b"), (3, "<lambda>"), (5, "m"), (6, "c"), (7, "d")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_shares_parameter(module):
+    """A split site reads the active set from ``cpus.active()``; no function
+    is handed one."""
+    assert parameters_named((PACKAGE / module).read_text(encoding="utf-8"),
+                            "shares") == []
 
 def traced_names():
     """The dotted names bench/trace.py wraps, read without importing it."""

@@ -584,8 +584,9 @@ class TestLoadPath:
 
 @pytest.fixture(params=[0, 1], ids=["serial", "crc-thread"])
 def shares(request):
-    with cpus.Shares(request.param) as shares:
-        yield shares
+    """Runs a test serially, then with one share thread for the CRC."""
+    with cpus.Shares(request.param):
+        yield
 
 
 def mapped(path):
@@ -610,7 +611,7 @@ class TestMappedLoad:
         raw[-100] ^= 0xFF   # inside the payload of the last array
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="CRC mismatch"):
-            load_checkpoint(path, shares=shares)
+            load_checkpoint(path)
 
     def test_flipped_length_field_is_crc_mismatch(self, path, shares):
         raw = bytearray(path.read_bytes())
@@ -619,17 +620,17 @@ class TestMappedLoad:
         with pytest.raises(CheckpointError, match="past the payload"):
             model_mod._parse_blob(bytes(raw), path)
         with pytest.raises(CheckpointError, match="CRC mismatch"):
-            load_checkpoint(path, shares=shares)
+            load_checkpoint(path)
 
     def test_overrun_with_valid_crc_is_reported(self, path, shares):
         malform_container(path, "overrun")
         with pytest.raises(CheckpointError, match="past the payload"):
-            load_checkpoint(path, shares=shares)
+            load_checkpoint(path)
 
     def test_empty_file_is_bad_magic(self, path, shares):
         path.write_bytes(b"")
         with pytest.raises(CheckpointError, match="bad magic"):
-            load_checkpoint(path, shares=shares)
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("fault", [None, "crc", "overrun"])
     def test_map_closed_and_file_replaceable(self, fault, path, tiny_model, shares):
@@ -641,9 +642,9 @@ class TestMappedLoad:
             path.write_bytes(bytes(raw))
         if fault:
             with pytest.raises(CheckpointError):
-                load_checkpoint(path, shares=shares)
+                load_checkpoint(path)
         else:
-            loaded, _, _, _ = load_checkpoint(path, shares=shares)
+            loaded, _, _, _ = load_checkpoint(path)
             for name, arr in loaded.state_arrays().items():
                 assert arr.base is None and arr.flags.owndata, name
         assert mapped(path) == []
@@ -653,7 +654,7 @@ class TestMappedLoad:
             {"model_config": other.config.to_dict(),
              "mel_config": dsp.MelConfig().to_dict()},
             other.state_arrays()))
-        reloaded, _, _, _ = load_checkpoint(path, shares=shares)
+        reloaded, _, _, _ = load_checkpoint(path)
         for k, p in other.params.items():
             assert reloaded.params[k].data.tobytes() == p.data.tobytes()
 
