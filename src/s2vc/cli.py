@@ -4,8 +4,13 @@ Subcommands: feats, train, convert, eval, probe, ablate.  Configuration is
 layered: built-in defaults < config file < command-line flags.  The resolved
 snapshot is embedded in every checkpoint and report the run produces.
 
-Exit codes: 0 success, 1 runtime/evaluation failure, 2 usage or config error.
-Every failure is reported as one ``error:`` line on stderr.
+Seeds come from ``--seed``, else ``S2VC_SEED``, else (for train and ablate)
+the config file's ``train.seed``, else 0.
+
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+``_Commands.invoke`` is the one place that turns a failure into an exit: a
+``click.UsageError`` (``ConfigError`` among them) exits 2, and an
+``s2vc.Error`` or ``OSError`` exits 1, each as one ``error:`` line on stderr.
 
 The model, training and evaluation modules are imported by the commands that
 use them, so ``feats`` never loads the tensor library.
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import click
 
-from . import dsp, features
+from . import Error, dsp, features
 from .dsp import MelConfig
 from .features import Manifest, ManifestEntry
 
@@ -30,8 +35,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(click.UsageError):
+    """A config file or value the command cannot use; exits 2."""
 
 
 def _parse_value(text):
@@ -51,10 +56,15 @@ def _parse_value(text):
 
 
 def load_config_file(path):
-    """Parse a flat TOML-like ``section.key = value`` file."""
+    """Parse a flat TOML-like ``section.key = value`` file; a missing file
+    or a malformed line raises ConfigError."""
     values = {}
     section = ""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError as e:
+        raise ConfigError(str(e)) from e
+    with fh:
         for line_no, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -86,8 +96,8 @@ def resolve_train_config(config_file=None, overrides=None):
     An unknown key, a value of the wrong type or a value the configs reject
     raises ConfigError.
     """
-    from .model import ModelConfig, ModelError
-    from .training import TrainConfig, TrainingError
+    from .model import ModelConfig
+    from .training import TrainConfig
 
     values = {}
     if config_file:
@@ -112,19 +122,21 @@ def resolve_train_config(config_file=None, overrides=None):
         model_cfg = replace(ModelConfig(), **chosen["model"])
         mel_cfg = replace(MelConfig(), **chosen["mel"])
         cfg = replace(TrainConfig(model=model_cfg, mel=mel_cfg), **chosen["train"])
-    except (ModelError, TrainingError, dsp.DspError) as e:
+    except Error as e:
         raise ConfigError(f"invalid config value: {e}") from e
     return cfg
 
 
-def _global_seed(seed):
-    """``--seed``, else ``S2VC_SEED``, else 0."""
+def _global_seed(seed, default=0):
+    """``--seed``, else ``S2VC_SEED``, else ``default``."""
     if seed is not None:
         return seed
-    env = os.environ.get("S2VC_SEED") or "0"
+    env = os.environ.get("S2VC_SEED")
+    if not env:
+        return default
     if not env.isdecimal():
-        _fail(f"invalid S2VC_SEED {env!r}: expected a non-negative integer",
-              EXIT_USAGE)
+        raise click.UsageError(
+            f"invalid S2VC_SEED {env!r}: expected a non-negative integer")
     return int(env)
 
 
@@ -134,14 +146,19 @@ def _fail(message, code):
 
 
 class _Commands(click.Group):
-    """A command group whose subcommands report a bad option value, or any
-    other usage error Click finds, as one ``error:`` line."""
+    """The command group, whose ``invoke`` maps failures to exit codes as
+    the module docstring says.  Any other exception is a bug and keeps its
+    traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            raise   # a closed stdout, which Click's main silences
         except click.UsageError as e:
             _fail(e.format_message(), EXIT_USAGE)
+        except (Error, OSError) as e:
+            _fail(str(e), EXIT_RUNTIME)
 
 
 @click.group(cls=_Commands)
@@ -180,7 +197,7 @@ def _require_inputs(*named_paths):
     """A usage error for the first ``(role, path)`` whose path is missing."""
     for role, path in named_paths:
         if not Path(path).exists():
-            _fail(f"{role} not found: {path}", EXIT_USAGE)
+            raise click.UsageError(f"{role} not found: {path}")
 
 
 @main.command("feats")
@@ -194,16 +211,13 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
     Speaker ids come from the first '_'-separated token of each filename.
     """
     if kind != "mel":
-        _fail(f"kind {kind!r} must be exported externally; only 'mel' is "
-              "extracted natively", EXIT_USAGE)
+        raise click.UsageError(f"kind {kind!r} must be exported externally; "
+                               "only 'mel' is extracted natively")
     wav_dir = Path(wav_dir)
     if not wav_dir.is_dir():
-        _fail(f"wav directory not found: {wav_dir}", EXIT_USAGE)
+        raise click.UsageError(f"wav directory not found: {wav_dir}")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        _fail(str(e), EXIT_RUNTIME)
+    out.mkdir(parents=True, exist_ok=True)
     manifest_path = Path(manifest) if manifest else out / "manifest.jsonl"
 
     entries = []
@@ -246,40 +260,33 @@ def cmd_feats(wav_dir, out_dir, kind, manifest):
 def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
               target_kind, ablation, resume, show_config):
     """Train a model by self-reconstruction."""
-    from . import model as model_mod, training
+    from . import training
 
     overrides = {
         "train.manifest": manifest,
         "train.out_dir": out_dir,
         "train.max_steps": max_steps,
-        "train.seed": _global_seed(seed),
+        "train.seed": _global_seed(seed, default=None),
         "model.source_feature_kind": source_kind,
         "model.target_feature_kind": target_kind,
     }
-    try:
-        cfg = resolve_train_config(config_file, overrides)
-        if ablation:
-            ablation_names = {name: overrides
-                              for _, name, overrides in training.ABLATION_ROWS}
-            flags = ablation_names.get(ablation.replace("-", "_"))
-            if flags is None:
-                raise ConfigError(f"unknown ablation {ablation!r}; options: "
-                                  + ", ".join(sorted(ablation_names)))
-            cfg = replace(cfg, model=replace(cfg.model, **flags))
-    except (ConfigError, FileNotFoundError) as e:
-        _fail(str(e), EXIT_USAGE)
+    cfg = resolve_train_config(config_file, overrides)
+    if ablation:
+        ablation_names = {name: overrides
+                          for _, name, overrides in training.ABLATION_ROWS}
+        flags = ablation_names.get(ablation.replace("-", "_"))
+        if flags is None:
+            raise ConfigError(f"unknown ablation {ablation!r}; options: "
+                              + ", ".join(sorted(ablation_names)))
+        cfg = replace(cfg, model=replace(cfg.model, **flags))
     if show_config:
         click.echo(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return
     if not cfg.manifest or not Path(cfg.manifest).exists():
-        _fail(f"manifest not found: {cfg.manifest!r}", EXIT_USAGE)
-    try:
-        path = training.run_training(cfg, resume_from=resume,
-                                     log_fn=lambda l: click.echo(
-                                         f"step {l['step']} loss {l['loss']:.4f}"))
-    except (training.TrainingError, model_mod.ModelError, features.FeatureError,
-            OSError) as e:
-        _fail(str(e), EXIT_RUNTIME)
+        raise click.UsageError(f"manifest not found: {cfg.manifest!r}")
+    path = training.run_training(cfg, resume_from=resume,
+                                 log_fn=lambda l: click.echo(
+                                     f"step {l['step']} loss {l['loss']:.4f}"))
     click.echo(f"final checkpoint: {path}")
 
 
@@ -298,10 +305,10 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
     with a warning.  The conversion uses one thread per spare CPU, and its
     output does not depend on how many there are.
     """
-    from . import cpus, evaluate, model as model_mod, tensor
+    from . import cpus, evaluate, model as model_mod
 
     if not targets:
-        _fail("at least one target feature file required", EXIT_USAGE)
+        raise click.UsageError("at least one target feature file required")
     _require_inputs(("checkpoint", checkpoint), ("source", source),
                     *(("target", t) for t in targets))
     if len(targets) < 5:
@@ -309,21 +316,17 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
                    "(five is the standard protocol)", err=True)
     for out_path in filter(None, (out_wav, dump_trace)):
         if not Path(out_path).parent.is_dir():
-            _fail(f"output directory not found: {Path(out_path).parent}",
-                  EXIT_USAGE)
+            raise click.UsageError(
+                f"output directory not found: {Path(out_path).parent}")
     with cpus.Shares(cpus.spare_cpus()):
-        try:
-            mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
-            src = features.load_feature_file(source)
-            tgts = [features.load_feature_file(t) for t in targets]
-            audio, trace, _ = evaluate.convert(mdl, src, tgts, mel_cfg,
-                                               n_gl_iter=gl_iters)
-            dsp.write_wav(out_wav, audio)
-            if dump_trace:
-                model_mod.write_trace(dump_trace, trace)
-        except (model_mod.ModelError, features.FeatureError, dsp.DspError,
-                tensor.TensorError, OSError) as e:
-            _fail(str(e), EXIT_RUNTIME)
+        mdl, mel_cfg, _, _ = model_mod.load_checkpoint(checkpoint)
+        src = features.load_feature_file(source)
+        tgts = [features.load_feature_file(t) for t in targets]
+        audio, trace, _ = evaluate.convert(mdl, src, tgts, mel_cfg,
+                                           n_gl_iter=gl_iters)
+        dsp.write_wav(out_wav, audio)
+        if dump_trace:
+            model_mod.write_trace(dump_trace, trace)
     click.echo(f"wrote {out_wav}")
 
 
@@ -343,15 +346,10 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
     seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
     _steady_heap()
-    try:
-        mdl, _, extra, _ = model_mod.load_checkpoint(checkpoint)
-        manifest = Manifest.load(manifest_path)
-        result = evaluate.run_eval(mdl, manifest, scenario, n_pairs,
-                                   seed, out_dir,
-                                   train_speakers=extra.get("train_speakers"))
-    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError,
-            OSError) as e:
-        _fail(str(e), EXIT_RUNTIME)
+    mdl, _, extra, _ = model_mod.load_checkpoint(checkpoint)
+    manifest = Manifest.load(manifest_path)
+    result = evaluate.run_eval(mdl, manifest, scenario, n_pairs, seed, out_dir,
+                               train_speakers=extra.get("train_speakers"))
     click.echo(json.dumps(result, indent=2, sort_keys=True))
 
 
@@ -367,19 +365,12 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
 
     seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
-    try:
-        mdl, _, _, _ = model_mod.load_checkpoint(checkpoint)
-        manifest = Manifest.load(manifest_path)
-        res = evaluate.probe_speaker_info(mdl, manifest, site, seed=seed)
-    except (evaluate.EvalError, model_mod.ModelError, features.FeatureError,
-            OSError) as e:
-        _fail(str(e), EXIT_RUNTIME)
+    mdl, _, _, _ = model_mod.load_checkpoint(checkpoint)
+    manifest = Manifest.load(manifest_path)
+    res = evaluate.probe_speaker_info(mdl, manifest, site, seed=seed)
     text = json.dumps(res.to_dict(), indent=2, sort_keys=True)
     if out_json:
-        try:
-            dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
-        except OSError as e:
-            _fail(str(e), EXIT_RUNTIME)
+        dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
     click.echo(text)
 
 
@@ -398,44 +389,37 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     """
     from . import evaluate, model as model_mod, training
 
-    seed = _global_seed(seed)
     overrides = {"train.manifest": manifest, "train.out_dir": out_dir,
-                 "train.max_steps": max_steps, "train.seed": seed}
-    try:
-        base = resolve_train_config(config_file, overrides)
-    except (ConfigError, FileNotFoundError) as e:
-        _fail(str(e), EXIT_USAGE)
+                 "train.max_steps": max_steps,
+                 "train.seed": _global_seed(seed, default=None)}
+    base = resolve_train_config(config_file, overrides)
     if not Path(manifest).exists():
-        _fail(f"manifest not found: {manifest}", EXIT_USAGE)
+        raise click.UsageError(f"manifest not found: {manifest}")
 
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    man = Manifest.load(manifest)
+    pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=base.seed)
+    embedder = evaluate.train_speaker_embedder(
+        list(evaluate.load_mels(man).values()), seed=base.seed)
     rows = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        man = Manifest.load(manifest)
-        pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=seed)
-        embedder = evaluate.train_speaker_embedder(
-            list(evaluate.load_mels(man).values()), seed=seed)
-        for row, name, run_cfg in training.ablation_suite(base):
-            run_dir = Path(run_cfg.out_dir)
-            report_path = run_dir / "report.json"
-            if report_path.exists():
-                with open(report_path, encoding="utf-8") as fh:
-                    prior = json.load(fh)["results"][0]
-                rows.append({"row": f"({row})", "name": name, **prior})
-                click.echo(f"({row}) {name}: already done, skipping")
-                continue
-            click.echo(f"({row}) {name}: training {run_cfg.max_steps} steps")
-            ckpt = training.run_training(run_cfg)
-            mdl, _, _, _ = model_mod.load_checkpoint(ckpt)
-            result = evaluate.run_eval(mdl, man, "s2s", n_pairs, seed, run_dir,
-                                       embedder=embedder, pairs=pairs)
-            rows.append({"row": f"({row})", "name": name, **result})
-        evaluate.render_report(rows, out / "ablation_report.json",
-                               out / "ablation_report.txt")
-    except (training.TrainingError, evaluate.EvalError, features.FeatureError,
-            model_mod.ModelError, OSError) as e:
-        _fail(str(e), EXIT_RUNTIME)
+    for row, name, run_cfg in training.ablation_suite(base):
+        run_dir = Path(run_cfg.out_dir)
+        report_path = run_dir / "report.json"
+        if report_path.exists():
+            with open(report_path, encoding="utf-8") as fh:
+                prior = json.load(fh)["results"][0]
+            rows.append({"row": f"({row})", "name": name, **prior})
+            click.echo(f"({row}) {name}: already done, skipping")
+            continue
+        click.echo(f"({row}) {name}: training {run_cfg.max_steps} steps")
+        ckpt = training.run_training(run_cfg)
+        mdl, _, _, _ = model_mod.load_checkpoint(ckpt)
+        result = evaluate.run_eval(mdl, man, "s2s", n_pairs, base.seed, run_dir,
+                                   embedder=embedder, pairs=pairs)
+        rows.append({"row": f"({row})", "name": name, **result})
+    evaluate.render_report(rows, out / "ablation_report.json",
+                           out / "ablation_report.txt")
     click.echo(f"ablation grid written to {out / 'ablation_report.txt'}")
 
 

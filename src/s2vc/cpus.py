@@ -27,6 +27,8 @@ import pickle
 import signal
 import threading
 
+from . import Error
+
 __all__ = ["spare_cpus", "Shares", "SERIAL", "active", "Helper", "HelperExited"]
 
 
@@ -161,7 +163,7 @@ def active():
     return _active.shares
 
 
-class HelperExited(Exception):
+class HelperExited(Error):
     """A helper process ended without replying to a task sent to it."""
 
 

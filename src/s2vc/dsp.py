@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import cpus
+from . import Error, cpus
 
 __all__ = [
     "AudioBuffer",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class DspError(Exception):
+class DspError(Error):
     pass
 
 

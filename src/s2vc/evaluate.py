@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cpus, dsp
+from . import Error, cpus, dsp
 from . import nn
 from . import tensor as T
 from .features import align_frame_rate
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-class EvalError(Exception):
+class EvalError(Error):
     pass
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import Error, dsp
 
 __all__ = [
     "FeatureKind",
@@ -38,7 +38,7 @@ FORMAT_VERSION = 1
 DTYPE_F32 = 0
 
 
-class FeatureError(Exception):
+class FeatureError(Error):
     pass
 
 

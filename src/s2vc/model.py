@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import cpus, nn
+from . import Error, cpus, nn
 from . import tensor as T
 from .dsp import MelConfig, write_atomic
 from .features import align_frame_rate, resolve_kind
@@ -44,7 +44,7 @@ TRACE_MAGIC = b"S2VT"
 FORMAT_VERSION = 1
 
 
-class ModelError(Exception):
+class ModelError(Error):
     pass
 
 

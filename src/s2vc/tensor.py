@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cpus
+from . import Error, cpus
 
 __all__ = [
     "Tensor",
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-class TensorError(Exception):
+class TensorError(Error):
     pass
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cpus, nn
+from . import Error, cpus, nn
 from . import tensor as T
 from .dsp import MelConfig
 from .features import FeatureSequence, Manifest
@@ -46,7 +46,7 @@ __all__ = [
 MAX_CROP_FRAMES = 512
 
 
-class TrainingError(Exception):
+class TrainingError(Error):
     pass
 
 
@@ -71,6 +71,8 @@ class TrainConfig:
             raise TrainingError("learning_rate must be positive")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise TrainingError("seed must be non-negative")
 
     def to_dict(self):
         d = asdict(self)

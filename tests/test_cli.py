@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from s2vc import cpus, dsp, evaluate, tensor
+import s2vc
+from s2vc import cpus, dsp, evaluate, model, tensor, training
 from s2vc.cli import EXIT_USAGE, load_config_file, main, resolve_train_config
 from s2vc.cli import ConfigError
 from s2vc.dsp import MelConfig
 from s2vc.features import (FeatureSequence, Manifest, ManifestEntry, extract_mel,
                            load_feature_file, resolve_kind, write_feature_file)
-from s2vc.model import S2VCModel, read_trace, save_checkpoint
+from s2vc.model import S2VCModel, load_checkpoint, read_trace, save_checkpoint
 from conftest import convert_args, malform_container, open_half_written
 from test_dsp import _reference_resample
 from toycorpus import tiny_model_config
@@ -215,8 +216,6 @@ class TestFeats:
 class TestTrain:
     def test_worker_death_one_error_line(self, runner, corpus_manifest, tmp_path,
                                          monkeypatch):
-        from s2vc import training
-
         monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
         helpers = []
 
@@ -260,6 +259,27 @@ class TestTrain:
         res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"],
                             env={"S2VC_SEED": "42"})
         assert json.loads(res.output)["seed"] == 42
+
+    @pytest.mark.parametrize("args,env,seed", [
+        ([], {}, 5),
+        (["--seed", "7"], {}, 7),
+        ([], {"S2VC_SEED": "9"}, 9),
+    ], ids=["file", "flag-beats-file", "env-beats-file"])
+    def test_seed_from_config_file(self, runner, tmp_path, args, env, seed):
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config",
+                                   *args], env={"S2VC_SEED": None, **env})
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["seed"] == seed
+
+    def test_negative_config_seed_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[train]\nseed = -1\n")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"],
+                            env={"S2VC_SEED": None})
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: invalid config value: seed must be non-negative\n"
 
     def test_ablation_flag_maps_names(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
@@ -597,6 +617,30 @@ class TestAblate:
         assert res.exit_code == 0, res.output
         assert res.output.count("skipping") == 7
 
+    def test_pairs_and_embedder_use_config_file_seed(
+            self, runner, corpus_manifest, tmp_path, monkeypatch):
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
+        seeds = {}
+
+        def record(name, fn):
+            def wrapper(*args, seed, **kwargs):
+                seeds[name] = seed
+                return fn(*args, seed=seed, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluate, "sample_pairs",
+                            record("pairs", evaluate.sample_pairs))
+        monkeypatch.setattr(evaluate, "train_speaker_embedder",
+                            record("embedder", evaluate.train_speaker_embedder))
+        monkeypatch.setattr(training, "ablation_suite", lambda base: [])
+        res = runner.invoke(main, ["ablate", "--config", str(cfg), "--manifest",
+                                   str(corpus_manifest), "--out-dir",
+                                   str(tmp_path / "abl"), "--n-pairs", "2"],
+                            env={"S2VC_SEED": None})
+        assert res.exit_code == 0, res.output
+        assert seeds == {"pairs": 5, "embedder": 5}
+
     def test_truncated_feature_file_runtime_error(self, runner, corpus_manifest,
                                                   tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
@@ -631,6 +675,16 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
         if "--seed" in case:   # a value that is no integer
             return [*args, "--seed", case.split()[-1]]
         return args   # the seed comes from S2VC_SEED
+    if case.endswith("at 3e38"):   # a weight that overflows float32 downstream
+        mdl, mel_cfg, extra, _ = load_checkpoint(checkpoint)
+        mdl.params[case.split()[-3]].data[...] = 3e38
+        overflow = tmp_path / "overflow.s2vc"
+        save_checkpoint(mdl, overflow, mel_config=mel_cfg, extra_meta=extra)
+        command = ["probe", str(overflow), str(corpus_manifest), "--site", "V"]
+        if case.startswith("eval"):
+            command = ["eval", str(overflow), str(corpus_manifest), "--n-pairs", "2",
+                       "--out-dir", str(tmp_path / "o")]
+        return command
     if case.startswith("train"):
         resume = tmp_path / "resume.s2vc"
         if case == "train --resume 4-byte file":
@@ -712,6 +766,8 @@ class TestFaultMatrix:
         "eval with S2VC_SEED=-1": (2, "invalid S2VC_SEED '-1'"),
         "probe with S2VC_SEED=1.5": (2, "invalid S2VC_SEED '1.5'"),
         "ablate with S2VC_SEED=-2": (2, "invalid S2VC_SEED '-2'"),
+        "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
+        "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
     }
     # the work each case must not start before it fails
     EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child
@@ -724,10 +780,9 @@ class TestFaultMatrix:
         code, message = self.CASES[case]
         args = fault_args(case, tmp_path, corpus_manifest, tiny_checkpoint)
         if code == EXIT_USAGE:
-            from s2vc import model
-
             monkeypatch.setattr(model, "load_checkpoint", pytest.fail)
-        if args[0] in self.EXPENSIVE:   # the out dir is checked first
+        if args[0] in self.EXPENSIVE and not case.endswith("at 3e38"):
+            # the out dir is checked first
             monkeypatch.setattr(*self.EXPENSIVE[args[0]], pytest.fail)
         env = {"S2VC_SEED": case.split("=")[1]} if "S2VC_SEED=" in case else {}
         res = runner.invoke(main, args, env=env)
@@ -739,3 +794,47 @@ class TestFaultMatrix:
         assert len(errors) == 1 and errors[0].startswith("error: "), res.stderr
         assert message in errors[0]
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def package_errors():
+    """``s2vc.Error`` and every subclass of it the package defines."""
+    found, todo = [], [s2vc.Error]
+    while todo:
+        found.append(todo.pop())
+        todo.extend(found[-1].__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.fixture
+def failing_eval(runner, corpus_manifest, tiny_checkpoint, tmp_path, monkeypatch):
+    """``s2vc eval`` whose checkpoint load raises ``error("injected failure")``."""
+    def invoke(error):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(model, "load_checkpoint", fail)
+        return runner.invoke(main, ["eval", str(tiny_checkpoint), str(corpus_manifest),
+                                    "--out-dir", str(tmp_path / "o")])
+    return invoke
+
+
+class TestBoundary:
+    """``_Commands.invoke`` turns each kind of failure into its exit code,
+    whichever command and layer raised it."""
+
+    @pytest.mark.parametrize("error", package_errors(), ids=lambda cls: cls.__name__)
+    def test_package_error_exits_1(self, error, failing_eval):
+        assert_one_error_line(failing_eval(error), "injected failure")
+
+    def test_config_error_exits_2(self, failing_eval):
+        res = failing_eval(ConfigError)
+        assert res.exit_code == 2
+        assert res.stderr == "error: injected failure\n"
+
+    def test_closed_stdout_exits_1_quietly(self, failing_eval):
+        res = failing_eval(BrokenPipeError)
+        assert res.exit_code == 1
+        assert res.stderr == ""
+
+    def test_other_exception_keeps_its_traceback(self, failing_eval):
+        assert type(failing_eval(ValueError).exception) is ValueError

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, only ``cpus`` makes child processes
-and threads, no function is handed a share set, and every function the
-traced benchmark wraps still exists and runs on the main thread only.
+and threads, no function is handed a share set, every exception derives
+from ``s2vc.Error`` and reaches the user through the one CLI boundary, and
+every function the traced benchmark wraps still exists and runs on the main
+thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -10,11 +12,14 @@ import ast
 import functools
 import importlib
 import threading
+import types
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+import s2vc
 from conftest import convert_args
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,6 +224,100 @@ def test_no_shares_parameter(module):
     is handed one."""
     assert parameters_named((PACKAGE / module).read_text(encoding="utf-8"),
                             "shares") == []
+
+
+def stray_exceptions(module):
+    """Sorted names of the exception classes ``module`` defines that do not
+    derive from ``s2vc.Error``."""
+    return sorted(name for name, value in vars(module).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)
+                  and value.__module__ == module.__name__
+                  and not issubclass(value, s2vc.Error))
+
+
+def test_exception_checker_sees_every_base():
+    module = types.ModuleType("madeup")
+    exec("import s2vc\n"
+         "from json import JSONDecodeError\n"
+         "class A(s2vc.Error): pass\n"
+         "class B(A, KeyError): pass\n"
+         "class C(ValueError): pass\n"
+         "class D(C): pass\n"
+         "class E(JSONDecodeError): pass\n"
+         "class F: pass\n", vars(module))
+    assert stray_exceptions(module) == ["C", "D", "E"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exception_derives_from_error(module):
+    """The CLI reports an ``s2vc.Error`` as one ``error:`` line; the one
+    other exception is ``ConfigError``, a usage error."""
+    name = "s2vc" if module == "__init__.py" else f"s2vc.{module[:-3]}"
+    mod = importlib.import_module(name)
+    if module == "cli.py":
+        assert stray_exceptions(mod) == ["ConfigError"]
+        assert issubclass(mod.ConfigError, click.UsageError)
+    else:
+        assert stray_exceptions(mod) == []
+
+
+def command_handlers(source):
+    """Sorted (function, caught) of every ``except`` clause inside a
+    module-level function of ``source`` whose name starts ``cmd_``;
+    ``caught`` is the clause's exception as written, or ``""``."""
+    return sorted((node.name, ast.unparse(handler.type) if handler.type else "")
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+                  for handler in ast.walk(node)
+                  if isinstance(handler, ast.ExceptHandler))
+
+
+def callers(source, name):
+    """Sorted qualified names of the functions in ``source`` that call
+    ``name`` directly; module-level calls count as ``<module>``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_boundary_checkers_see_every_form():
+    source = ("def cmd_a():\n"
+              "    try: pass\n"
+              "    except (OSError, KeyError): _fail()\n"
+              "    def inner():\n"
+              "        try: pass\n"
+              "        except: pass\n"
+              "def helper():\n"
+              "    try: pass\n"
+              "    except ValueError: pass\n"
+              "class K:\n"
+              "    def invoke(self):\n"
+              "        _fail(); _fail()\n"
+              "    def other(self):\n"
+              "        self._fail(); fail()\n"
+              "_fail()\n")
+    assert command_handlers(source) == [("cmd_a", ""), ("cmd_a", "(OSError, KeyError)")]
+    assert callers(source, "_fail") == ["<module>", "K.invoke", "cmd_a"]
+
+
+def test_one_cli_boundary():
+    """``_Commands.invoke`` alone turns a failure into an exit: no command
+    catches an exception, except ``feats``, which reports each WAV it could
+    not read on its own ``failed:`` line and goes on."""
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert command_handlers(source) == [("cmd_feats", "Exception")]
+    assert callers(source, "_fail") == ["_Commands.invoke"]
 
 def traced_names():
     """The dotted names bench/trace.py wraps, read without importing it."""
