@@ -28,7 +28,6 @@ from pathlib import Path
 import click
 
 from . import Error, dsp, features
-from .dsp import MelConfig
 from .features import Manifest, ManifestEntry
 
 EXIT_RUNTIME = 1
@@ -56,27 +55,26 @@ def _parse_value(text):
 
 
 def load_config_file(path):
-    """Parse a flat TOML-like ``section.key = value`` file; a missing file
-    or a malformed line raises ConfigError."""
+    """Parse a flat TOML-like ``section.key = value`` file; a missing file,
+    a line that is not UTF-8 or a malformed line raises ConfigError."""
     values = {}
     section = ""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        lines = features.read_lines(path, ConfigError)
     except FileNotFoundError as e:
         raise ConfigError(str(e)) from e
-    with fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            full = f"{section}.{key.strip()}" if section else key.strip()
-            values[full] = _parse_value(val)
+    for line_no, line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        full = f"{section}.{key.strip()}" if section else key.strip()
+        values[full] = _parse_value(val)
     return values
 
 
@@ -105,7 +103,7 @@ def resolve_train_config(config_file=None, overrides=None):
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-    sections = {"model": ModelConfig, "mel": MelConfig, "train": TrainConfig}
+    sections = {"model": ModelConfig, "train": TrainConfig}
     fields = {name: typing.get_type_hints(cls) for name, cls in sections.items()}
     chosen = {name: {} for name in sections}
     for full, value in values.items():
@@ -120,8 +118,7 @@ def resolve_train_config(config_file=None, overrides=None):
 
     try:
         model_cfg = replace(ModelConfig(), **chosen["model"])
-        mel_cfg = replace(MelConfig(), **chosen["mel"])
-        cfg = replace(TrainConfig(model=model_cfg, mel=mel_cfg), **chosen["train"])
+        cfg = replace(TrainConfig(model=model_cfg), **chosen["train"])
     except Error as e:
         raise ConfigError(f"invalid config value: {e}") from e
     return cfg
@@ -203,16 +200,13 @@ def _require_inputs(*named_paths):
 @main.command("feats")
 @click.argument("wav_dir", type=click.Path())
 @click.argument("out_dir", type=click.Path())
-@click.option("--kind", default="mel", show_default=True)
 @click.option("--manifest", default=None, help="Manifest path to write/update.")
-def cmd_feats(wav_dir, out_dir, kind, manifest):
-    """Extract features from WAV files; one feature file per utterance.
+def cmd_feats(wav_dir, out_dir, manifest):
+    """Extract log-mel features from WAV files; one feature file per utterance.
 
     Speaker ids come from the first '_'-separated token of each filename.
+    Other kinds (cpc, apc, w2v, ppg) are exported externally as .s2vf files.
     """
-    if kind != "mel":
-        raise click.UsageError(f"kind {kind!r} must be exported externally; "
-                               "only 'mel' is extracted natively")
     wav_dir = Path(wav_dir)
     if not wav_dir.is_dir():
         raise click.UsageError(f"wav directory not found: {wav_dir}")

@@ -408,7 +408,7 @@ def mel_to_linear(log_mel_frames, cfg):
     return np.maximum(linear, 0.0)
 
 
-def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
+def griffin_lim(spec, cfg=None, n_iter=60):
     """Phase recovery from a log-mel spectrogram; returns peak-normalized audio.
 
     The per-iteration consistency residuals are attached to the returned
@@ -424,8 +424,8 @@ def griffin_lim(spec, cfg=None, n_iter=60, seed=0):
         raise DspError(f"griffin_lim expects T x {cfg.n_mels} log-mel frames, "
                        f"got shape {spec.frames.shape}")
     target = mel_to_linear(spec.frames, cfg)
-    rng = np.random.default_rng(seed)
-    phase = np.exp(2j * np.pi * rng.random(target.shape))
+    # a fixed phase seed: the audio is a function of the spectrogram alone
+    phase = np.exp(2j * np.pi * np.random.default_rng(0).random(target.shape))
     t_len, win, hop = target.shape[0], cfg.win_length, cfg.hop_length
     window = np.hanning(win)
     synthesis = _Synthesis(t_len, window, hop)

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+TARGETS_PER_PAIR = 5   # target utterances per pair, the standard protocol
+EMBEDDER_WIDTH = 128   # hidden and output width of SpeakerEmbedder
+
+
 class EvalError(Error):
     pass
 
@@ -58,8 +62,7 @@ class TestPair:
             raise EvalError("source and target speakers must differ")
 
 
-def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
-                 train_speakers=None):
+def sample_pairs(manifest, n=400, scenario="s2s", seed=0, train_speakers=None):
     """Seeded sampling of conversion pairs: one source utterance, five target
     utterances from a different speaker, without replacement within a pair.
 
@@ -79,13 +82,13 @@ def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
                 f"u2u needs at least 2 speakers unseen in training, manifest has "
                 f"{len(by_speaker)}: {sorted(by_speaker)}")
     eligible_targets = {s: es for s, es in by_speaker.items()
-                        if len(es) >= targets_per_pair}
+                        if len(es) >= TARGETS_PER_PAIR}
     if len(by_speaker) < 2:
         raise EvalError(f"need at least 2 speakers, manifest has {len(by_speaker)}")
     if len(eligible_targets) < 1 or (
             len(eligible_targets) == 1 and len(by_speaker) == 1):
         raise EvalError(
-            f"no speaker has the {targets_per_pair} utterances required as target")
+            f"no speaker has the {TARGETS_PER_PAIR} utterances required as target")
 
     rng = np.random.default_rng(seed)
     speakers = sorted(by_speaker)
@@ -101,7 +104,7 @@ def sample_pairs(manifest, n=400, scenario="s2s", seed=0, targets_per_pair=5,
         src_entries = by_speaker[src_spk]
         src = src_entries[int(rng.integers(0, len(src_entries)))]
         tgt_entries = eligible_targets[tgt_spk]
-        idx = rng.choice(len(tgt_entries), size=targets_per_pair, replace=False)
+        idx = rng.choice(len(tgt_entries), size=TARGETS_PER_PAIR, replace=False)
         pairs.append(TestPair(src, [tgt_entries[int(i)] for i in idx], scenario))
     return pairs
 
@@ -239,14 +242,13 @@ class SpeakerEmbedder:
     The classification head exists only for training.
     """
 
-    def __init__(self, mel_dim=80, hidden=128, emb_dim=128, n_speakers=2, seed=0):
+    def __init__(self, mel_dim=80, n_speakers=2, seed=0):
         rng = np.random.default_rng(seed)
         self.params = {}
-        self.speaker_names = []
-        nn.init_linear(self.params, "l1", mel_dim, hidden, rng)
-        nn.init_linear(self.params, "l2", hidden, hidden, rng)
-        nn.init_linear(self.params, "proj", hidden, emb_dim, rng)
-        nn.init_linear(self.params, "head", emb_dim, n_speakers, rng)
+        nn.init_linear(self.params, "l1", mel_dim, EMBEDDER_WIDTH, rng)
+        nn.init_linear(self.params, "l2", EMBEDDER_WIDTH, EMBEDDER_WIDTH, rng)
+        nn.init_linear(self.params, "proj", EMBEDDER_WIDTH, EMBEDDER_WIDTH, rng)
+        nn.init_linear(self.params, "head", EMBEDDER_WIDTH, n_speakers, rng)
 
     def _embed_tensor(self, mel_frames):
         x = Tensor(mel_frames) if not isinstance(mel_frames, Tensor) else mel_frames
@@ -267,18 +269,18 @@ class SpeakerEmbedder:
         return nn.linear(self.params, "head", self._embed_tensor(mel_frames))
 
 
-def train_speaker_embedder(utterances, steps=300, lr=1e-3, seed=0, mel_dim=80):
+def train_speaker_embedder(utterances, steps=300, seed=0):
     """Train the embedder with a speaker-classification objective.
 
-    ``utterances`` is a list of (mel_frames, speaker_id).
+    ``utterances`` is a list of (T x mel_dim frames, speaker_id).
     """
     speakers = sorted({spk for _, spk in utterances})
     if len(speakers) < 2:
         raise EvalError("speaker embedder needs at least 2 speakers")
     spk_idx = {s: i for i, s in enumerate(speakers)}
-    emb = SpeakerEmbedder(mel_dim=mel_dim, n_speakers=len(speakers), seed=seed)
-    emb.speaker_names = speakers
-    opt = AdamW(emb.params, lr=lr, weight_decay=0.0)
+    emb = SpeakerEmbedder(mel_dim=np.shape(utterances[0][0])[1],
+                          n_speakers=len(speakers), seed=seed)
+    opt = AdamW(emb.params, lr=1e-3, weight_decay=0.0)
     rng = np.random.default_rng(seed)
     order = np.arange(len(utterances))
     for step in range(steps):
@@ -392,12 +394,11 @@ class ProbeResult:
                 "class_count": self.class_count}
 
 
-def _linear_probe(train_x, train_y, dev_x, dev_y, n_classes, steps=1000,
-                  lr=1e-2, seed=0):
+def _linear_probe(train_x, train_y, dev_x, dev_y, n_classes, steps=1000, seed=0):
     rng = np.random.default_rng(seed)
     params = {}
     nn.init_linear(params, "probe", train_x.shape[1], n_classes, rng)
-    opt = AdamW(params, lr=lr, weight_decay=0.0)
+    opt = AdamW(params, lr=1e-2, weight_decay=0.0)
     x = np.asarray(train_x, dtype=np.float32)
     y = np.asarray(train_y, dtype=np.int64)
     for _ in range(steps):

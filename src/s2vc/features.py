@@ -31,6 +31,7 @@ __all__ = [
     "align_frame_rate",
     "Manifest",
     "ManifestEntry",
+    "read_lines",
 ]
 
 MAGIC = b"S2VF"
@@ -116,9 +117,10 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
-def extract_mel(buf, cfg=None, utterance_id="", speaker_id=""):
-    """Log-mel features at 100 fps wrapped as a FeatureSequence."""
-    cfg = cfg or dsp.MelConfig()
+def extract_mel(buf, utterance_id="", speaker_id=""):
+    """Log-mel features of ``dsp.MelConfig()``, at 100 fps, wrapped as a
+    FeatureSequence."""
+    cfg = dsp.MelConfig()
     if buf.sample_rate != 16000:
         raise FeatureError(f"expected 16 kHz audio, got {buf.sample_rate} Hz")
     spec = dsp.log_mel(buf, cfg)
@@ -211,6 +213,21 @@ def align_frame_rate(seq, target_fps):
 # ---------------------------------------------------------------------------
 # dataset manifest (JSON lines)
 
+def read_lines(path, error):
+    """``(line number, text)`` of each line of the text file ``path``, a
+    manifest or config file; a line that is not UTF-8 raises ``error``
+    naming the file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = []
+    for line_no, line in enumerate(raw.splitlines(), 1):
+        try:
+            lines.append((line_no, line.decode("utf-8")))
+        except UnicodeDecodeError as e:
+            raise error(f"{path}:{line_no}: not UTF-8: {e}") from e
+    return lines
+
+
 @dataclass
 class ManifestEntry:
     utterance_id: str
@@ -248,24 +265,31 @@ class Manifest:
 
     @classmethod
     def load(cls, path):
+        """The manifest at ``path``.  A line that is not UTF-8, not a JSON
+        object, or has an id, path or ``features`` value that is no string
+        raises FeatureError naming the line."""
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d = json.loads(line)
-                    if not isinstance(d, dict):
-                        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
-                    entries.append(ManifestEntry(
-                        utterance_id=d["utterance_id"],
-                        speaker_id=d["speaker_id"],
-                        wav=d.get("wav", ""),
-                        features=d.get("features", {}),
-                    ))
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise FeatureError(f"{path}:{line_no}: bad manifest line: {e}") from e
+        for line_no, line in read_lines(path, FeatureError):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+                entry = ManifestEntry(d["utterance_id"], d["speaker_id"],
+                                      d.get("wav", ""), d.get("features", {}))
+                if not isinstance(entry.features, dict):
+                    raise TypeError("features is no JSON object")
+                fields = {"utterance_id": entry.utterance_id,
+                          "speaker_id": entry.speaker_id, "wav": entry.wav,
+                          **{f"features.{k}": v for k, v in entry.features.items()}}
+                for name, value in fields.items():
+                    if not isinstance(value, str):
+                        raise TypeError(f"{name} is no string: {value!r:.40}")
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                raise FeatureError(f"{path}:{line_no}: bad manifest line: {e}") from e
+            entries.append(entry)
         return cls(entries)
 
     def save(self, path):

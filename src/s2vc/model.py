@@ -204,7 +204,7 @@ class S2VCModel:
                 h = T.relu(h)
         return h
 
-    def target_encode(self, tgt, train=False):
+    def target_encode(self, tgt):
         cfg = self.config
         self._check_seq(tgt, cfg.target_feature_kind, cfg.resolved_target_dim(),
                         "target")
@@ -311,8 +311,7 @@ class S2VCModel:
         # encode per utterance so conv padding never leaks across utterance
         # boundaries
         tgt_encodings = [
-            self.target_encode(align_frame_rate(s, src.fps), train=train)
-            for s in tgts]
+            self.target_encode(align_frame_rate(s, src.fps)) for s in tgts]
         h, trace = self.attend(src_h, tgt_encodings)
         return self.decode(h, train=train, bn_stats=bn_stats), trace
 
@@ -458,7 +457,7 @@ def _fold_pre_norm_biases(config, arrays):
         rm -= b.reshape(rm.shape)
 
 
-def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
+def load_checkpoint(path):
     """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays).
 
     The file is memory-mapped while it loads, and its CRC is computed beside
@@ -477,14 +476,6 @@ def load_checkpoint(path, expect_source_kind=None, expect_target_kind=None):
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
     except ModelError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    if expect_source_kind and config.source_feature_kind != expect_source_kind:
-        raise CheckpointError(
-            f"source feature kind mismatch: checkpoint has "
-            f"{config.source_feature_kind!r}, requested {expect_source_kind!r}")
-    if expect_target_kind and config.target_feature_kind != expect_target_kind:
-        raise CheckpointError(
-            f"target feature kind mismatch: checkpoint has "
-            f"{config.target_feature_kind!r}, requested {expect_target_kind!r}")
     _fold_pre_norm_biases(config, arrays)
     model = S2VCModel.from_state_arrays(config, arrays)
     extra_arrays = {k[len("extra."):]: v for k, v in arrays.items()

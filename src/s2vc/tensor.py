@@ -34,7 +34,6 @@ __all__ = [
     "GradError",
     "OptimizerError",
     "AdamW",
-    "backward",
     "accumulate_grad",
     "matmul",
     "min_share_rows",
@@ -129,9 +128,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self):
-        return self.data
-
     def zero_grad(self):
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
@@ -164,10 +160,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _as_tensor(x, like):
@@ -253,14 +245,6 @@ class GradTape:
 def accumulate_grad(t, g):
     """Sum ``g`` into ``t.grad``: the one way leaf gradients are accumulated."""
     t.grad = g if t.grad is None else t.grad + g
-
-
-def backward(loss, tape=None):
-    """Run reverse-mode accumulation from a scalar loss."""
-    tape = tape if tape is not None else GradTape._active
-    if tape is None:
-        raise GradError("no active tape to run backward on")
-    tape.backward(loss)
 
 
 def _make(result, op_name, inputs, backward_fn):
@@ -469,13 +453,18 @@ def min_share_rows(d_in, d_out):
 def _matmul_rows(a, b):
     """``a @ b`` for 2-D arrays, the rows of ``a`` split across the active
     ``cpus.Shares`` unless a tape is recording.  Each row of the product is
-    computed alone, so the split gives the same bits."""
+    computed alone, so the split gives the same bits.
+
+    An overflow is not warned of: the op's ``_check_finite`` reports it.
+    """
     if GradTape._active is not None or (shares := cpus.active()).count == 1:
-        return a @ b
+        with np.errstate(over="ignore"):
+            return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
     def share(lo, hi):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        with np.errstate(over="ignore"):
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
 
     shares.rows(a.shape[0], share, min_share_rows(*b.shape))
     return out

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import Error, cpus, nn
 from . import tensor as T
-from .dsp import MelConfig
 from .features import FeatureSequence, Manifest
 from .model import ModelConfig, S2VCModel, load_checkpoint, save_checkpoint
 from .tensor import AdamW, GradTape, Tensor, clip_global_norm
@@ -64,7 +63,6 @@ class TrainConfig:
     manifest: str = ""
     out_dir: str = "runs/default"
     model: ModelConfig = field(default_factory=ModelConfig)
-    mel: MelConfig = field(default_factory=MelConfig)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -82,7 +80,6 @@ class TrainConfig:
     def from_dict(cls, d):
         d = dict(d)
         d["model"] = ModelConfig.from_dict(d["model"])
-        d["mel"] = MelConfig.from_dict(d["mel"])
         return cls(**d)
 
 
@@ -303,7 +300,8 @@ def run_training(cfg, resume_from=None, log_fn=None):
 
     Missing feature files are enumerated before step 1.  A checkpoint written
     every ``checkpoint_every`` steps carries optimizer and RNG state so a
-    resumed run reproduces the uninterrupted loss trajectory.  Each step's
+    resumed run reproduces the uninterrupted loss trajectory, and the
+    default ``MelConfig()``, which ``s2vc feats`` extracts with.  Each step's
     line is flushed to ``train_log.jsonl`` as the step ends.
     """
     manifest = Manifest.load(cfg.manifest)
@@ -347,8 +345,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
 
     def _save(path, at_step):
         save_checkpoint(
-            model, path, mel_config=cfg.mel,
-            extra_meta={
+            model, path, extra_meta={
                 "train_config": cfg.to_dict(),
                 "train_speakers": train_speakers,
                 "step": at_step,

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +198,12 @@ class TestFeats:
         assert res.exit_code == 2
 
     def test_non_mel_kind_usage_error(self, runner, corpus_root, tmp_path):
+        # feats extracts log-mel only; other kinds are exported externally
         res = runner.invoke(main, ["feats", str(corpus_root / "wav"),
                                    str(tmp_path / "out"), "--kind", "cpc"])
         assert res.exit_code == 2
+        assert res.stderr.startswith("error: No such option")
+        assert "--kind" in res.stderr
 
     def test_corrupt_wav_collected(self, runner, tmp_path):
         wav_dir = tmp_path / "wav"
@@ -301,8 +305,7 @@ class TestTrain:
     @pytest.mark.parametrize("section,line", [
         ("model", "d_model = 0"),
         ("train", "learning_rate = 0"),
-        ("mel", "hop_length = 999"),
-    ], ids=["model", "train", "mel"])
+    ], ids=["model", "train"])
     def test_invalid_config_value_usage_error(self, runner, tmp_path, section, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"[{section}]\n{line}\n")
@@ -311,6 +314,15 @@ class TestTrain:
         assert "invalid config value" in res.stderr
         assert line.split(" ")[0] in res.stderr
 
+    def test_mel_section_unknown_key(self, runner, tmp_path):
+        """Features are extracted and inverted with the default MelConfig, so
+        the config file has no mel section."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[mel]\nfmax = 4000.0\n")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: unknown config key: mel.fmax\n"
+
     @pytest.mark.parametrize("line,message", [
         ("[model]\nd_model = abc", "model.d_model = abc (expected int)"),
         ("[model]\nuse_sap = 3", "model.use_sap = 3 (expected bool)"),
@@ -318,9 +330,8 @@ class TestTrain:
         ("[model]\nd_model = 64.0", "model.d_model = 64.0 (expected int)"),
         ("[train]\nlearning_rate = fast", "train.learning_rate = fast (expected float)"),
         ("[train]\nmanifest = 12", "train.manifest = 12 (expected str)"),
-        ("[mel]\nfmax = off", "mel.fmax = off (expected float)"),
     ], ids=["str-for-int", "int-for-bool", "bool-for-int", "float-for-int",
-            "str-for-float", "int-for-str", "mel-section"])
+            "str-for-float", "int-for-str"])
     def test_wrongly_typed_value_usage_error(self, runner, tmp_path, line, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
@@ -685,6 +696,22 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
             command = ["eval", str(overflow), str(corpus_manifest), "--n-pairs", "2",
                        "--out-dir", str(tmp_path / "o")]
         return command
+    if case == "train --config with a non-UTF-8 comment":
+        config = write_tiny_config(tmp_path / "c.cfg")
+        config.write_bytes(config.read_bytes().replace(b"\n", b" \xff\n", 1))
+        return ["train", "--config", str(config), "--manifest", str(corpus_manifest),
+                "--out-dir", str(tmp_path / "run"), "--max-steps", "1"]
+    if case.startswith("eval manifest"):
+        lines = [e.to_json().encode() for e in Manifest.load(corpus_manifest).entries]
+        if case.endswith("non-UTF-8 line"):
+            lines[2] = lines[2].replace(b'"spk', b'"\xffspk')
+        else:
+            features = {"mel": 0} if case.endswith("path 0") else ["mel"]
+            lines[1] = json.dumps({"utterance_id": "u", "speaker_id": "spkA",
+                                   "features": features}).encode()
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        return ["eval", str(checkpoint), str(manifest), "--out-dir", str(tmp_path / "o")]
     if case.startswith("train"):
         resume = tmp_path / "resume.s2vc"
         if case == "train --resume 4-byte file":
@@ -768,6 +795,12 @@ class TestFaultMatrix:
         "ablate with S2VC_SEED=-2": (2, "invalid S2VC_SEED '-2'"),
         "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
         "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
+        "train --config with a non-UTF-8 comment": (2, "c.cfg:1: not UTF-8"),
+        "eval manifest with a non-UTF-8 line": (1, "manifest.jsonl:3: not UTF-8"),
+        "eval manifest with a feature path 0": (
+            1, "manifest.jsonl:2: bad manifest line: features.mel is no string: 0"),
+        "eval manifest with a list of features": (
+            1, "manifest.jsonl:2: bad manifest line: features is no JSON object"),
     }
     # the work each case must not start before it fails
     EXPENSIVE = {"eval": (os, "fork"),    # the embedder's child
@@ -794,6 +827,18 @@ class TestFaultMatrix:
         assert len(errors) == 1 and errors[0].startswith("error: "), res.stderr
         assert message in errors[0]
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c.endswith("at 3e38")])
+    def test_overflow_warns_nothing(self, case, runner, corpus_manifest,
+                                    tiny_checkpoint, tmp_path):
+        """An overflowing product is reported by its ``error:`` line alone."""
+        args = fault_args(case, tmp_path, corpus_manifest, tiny_checkpoint)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
 
 
 def package_errors():

@@ -207,3 +207,26 @@ class TestManifest:
         path.write_text('{"utterance_id": "u1", "speaker_id": "s1"}\n[1, 2]\n')
         with pytest.raises(FeatureError, match="manifest.jsonl:2: .*JSON object"):
             Manifest.load(path)
+
+    @pytest.mark.parametrize("fields,message", [
+        ('"speaker_id": ["s1"]', "speaker_id is no string: ['s1']"),
+        ('"speaker_id": "s1", "utterance_id": 7', "utterance_id is no string: 7"),
+        ('"speaker_id": "s1", "wav": null', "wav is no string: None"),
+        ('"speaker_id": "s1", "features": ["mel"]', "features is no JSON object"),
+        ('"speaker_id": "s1", "features": {"mel": 0}', "features.mel is no string: 0"),
+    ], ids=["speaker-list", "utterance-int", "wav-null", "features-list",
+            "path-int"])
+    def test_wrongly_typed_field_rejected(self, tmp_path, fields, message):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text('{"utterance_id": "u0", "speaker_id": "s0"}\n'
+                        f'{{"utterance_id": "u1", {fields}}}\n')
+        with pytest.raises(FeatureError) as info:
+            Manifest.load(path)
+        assert str(info.value) == f"{path}:2: bad manifest line: {message}"
+
+    def test_non_utf8_line_rejected(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(b'{"utterance_id": "u1", "speaker_id": "s1"}\r\n'
+                         b'{"utterance_id": "u2", "speaker_id": "s\xe9"}\n')
+        with pytest.raises(FeatureError, match=r"manifest.jsonl:2: not UTF-8"):
+            Manifest.load(path)

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, only ``cpus`` makes child processes
-and threads, no function is handed a share set, every exception derives
-from ``s2vc.Error`` and reaches the user through the one CLI boundary, and
-every function the traced benchmark wraps still exists and runs on the main
-thread only.
+and threads, no function is handed a share set or has a parameter it
+never reads, every exception derives from ``s2vc.Error`` and reaches the
+user through the one CLI boundary, and every function the traced benchmark
+wraps still exists and runs on the main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -224,6 +224,82 @@ def test_no_shares_parameter(module):
     is handed one."""
     assert parameters_named((PACKAGE / module).read_text(encoding="utf-8"),
                             "shares") == []
+
+
+def unused_parameters(source):
+    """Sorted (line, function, parameter) of every parameter of a function or
+    lambda in ``source`` that its body never reads; the first parameter of a
+    method (``self`` or ``cls``) is not counted.
+
+    A read anywhere in the body counts, in a nested function included.
+    """
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            inner = [*scope, child.name] if named else scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for b in body for n in ast.walk(b)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                qualname = ".".join(inner if named else [*scope, "<lambda>"])
+                found.extend((child.lineno, qualname, p.arg)
+                             for p in params[id(child) in methods:]
+                             if p.arg not in read)
+            visit(child, inner)
+
+    visit(tree, [])
+    return sorted(found)
+
+
+def test_unused_parameter_checker_sees_every_kind():
+    source = ("def a(x, y=1, *args, z, **kw):\n"
+              "    return x + z\n"
+              "f = lambda u, v: u\n"
+              "class K:\n"
+              "    def m(self, used, unused):\n"
+              "        def inner(w):\n"
+              "            return used\n"
+              "        return inner\n"
+              "    @classmethod\n"
+              "    def c(cls, p, /):\n"
+              "        p = 1\n"
+              "def target_encode(self, tgt, train=False):\n"
+              "    try: pass\n"
+              "    except ValueError:\n"
+              "        g = lambda e: self\n"
+              "    return self.encode(tgt)\n")
+    assert unused_parameters(source) == [
+        (1, "a", "args"), (1, "a", "kw"), (1, "a", "y"), (3, "<lambda>", "v"),
+        (5, "K.m", "unused"), (6, "K.m.inner", "w"), (10, "K.c", "p"),
+        (12, "target_encode", "train"), (15, "target_encode.<lambda>", "e")]
+
+
+# each parameter the package keeps without reading it, and why
+UNREAD_PARAMETERS = {
+    **{(f"{cls}.__exit__", p): "the context-manager protocol"
+       for cls in ("Shares", "Helper", "GradTape", "MicrostepWorkers")
+       for p in ("exc_type", "exc", "tb")},
+    ("train_step", "rng"): "acceptance criterion 05 passes it by position",
+}
+
+
+def test_no_unused_parameters():
+    """Every parameter of every function is read: a value with one use is a
+    constant, and one worked out from the inputs is not passed in."""
+    found = [(module, fn, p) for module in MODULES
+             for _, fn, p in unused_parameters(
+                 (PACKAGE / module).read_text(encoding="utf-8"))
+             if (fn, p) not in UNREAD_PARAMETERS]
+    assert found == []
 
 
 def stray_exceptions(module):

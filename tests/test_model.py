@@ -494,12 +494,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="CRC"):
             load_checkpoint(path)
 
-    def test_kind_mismatch_error(self, tiny_model, tmp_path):
-        path = tmp_path / "model.s2vc"
-        save_checkpoint(tiny_model, path)
-        with pytest.raises(CheckpointError, match="kind mismatch"):
-            load_checkpoint(path, expect_source_kind="cpc")
-
     def test_byte_identical_saves(self, tiny_model, tmp_path):
         p1, p2 = tmp_path / "a.s2vc", tmp_path / "b.s2vc"
         save_checkpoint(tiny_model, p1)
