@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -220,10 +220,8 @@ def cmd_feats(wav_dir, out_dir, manifest):
         utt = wav.stem
         speaker = utt.split("_", 1)[0]
         try:
-            buf = dsp.read_wav(wav)
-            if buf.sample_rate != 16000:
-                buf = dsp.resample(buf, 16000)
-            seq = features.extract_mel(buf, utterance_id=utt, speaker_id=speaker)
+            seq = features.extract_mel(dsp.read_wav(wav), utterance_id=utt,
+                                       speaker_id=speaker)
             feat_path = out / f"{utt}.mel.s2vf"
             features.write_feature_file(feat_path, seq)
             entries.append(ManifestEntry(utterance_id=utt, speaker_id=speaker,
@@ -245,14 +243,12 @@ def cmd_feats(wav_dir, out_dir, manifest):
 @click.option("--out-dir", default=None)
 @click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option("--source-kind", default=None)
-@click.option("--target-kind", default=None)
 @click.option("--ablation", default=None,
               help="Named ablation, e.g. no-bottleneck or no_cross_attention.")
 @click.option("--resume", type=click.Path(), default=None)
 @click.option("--show-config", is_flag=True)
-def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
-              target_kind, ablation, resume, show_config):
+def cmd_train(config_file, manifest, out_dir, max_steps, seed, ablation, resume,
+              show_config):
     """Train a model by self-reconstruction."""
     from . import training
 
@@ -261,8 +257,6 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
         "train.out_dir": out_dir,
         "train.max_steps": max_steps,
         "train.seed": _global_seed(seed, default=None),
-        "model.source_feature_kind": source_kind,
-        "model.target_feature_kind": target_kind,
     }
     cfg = resolve_train_config(config_file, overrides)
     if ablation:
@@ -274,7 +268,7 @@ def cmd_train(config_file, manifest, out_dir, max_steps, seed, source_kind,
                               + ", ".join(sorted(ablation_names)))
         cfg = replace(cfg, model=replace(cfg.model, **flags))
     if show_config:
-        click.echo(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+        click.echo(json.dumps(asdict(cfg), indent=2, sort_keys=True))
         return
     if not cfg.manifest or not Path(cfg.manifest).exists():
         raise click.UsageError(f"manifest not found: {cfg.manifest!r}")
@@ -305,9 +299,9 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
         raise click.UsageError("at least one target feature file required")
     _require_inputs(("checkpoint", checkpoint), ("source", source),
                     *(("target", t) for t in targets))
-    if len(targets) < 5:
+    if len(targets) < evaluate.TARGETS_PER_PAIR:
         click.echo(f"warning: only {len(targets)} target utterances "
-                   "(five is the standard protocol)", err=True)
+                   f"({evaluate.TARGETS_PER_PAIR} is the standard protocol)", err=True)
     for out_path in filter(None, (out_wav, dump_trace)):
         if not Path(out_path).parent.is_dir():
             raise click.UsageError(
@@ -362,7 +356,7 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
     mdl, _, _, _ = model_mod.load_checkpoint(checkpoint)
     manifest = Manifest.load(manifest_path)
     res = evaluate.probe_speaker_info(mdl, manifest, site, seed=seed)
-    text = json.dumps(res.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(asdict(res), indent=2, sort_keys=True)
     if out_json:
         dsp.write_atomic(out_json, (text + "\n").encode("utf-8"))
     click.echo(text)
@@ -379,7 +373,10 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
 def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     """Train and evaluate all 7 ablation configurations on shared seeds/pairs.
 
-    Completed runs (an existing report.json) are skipped on rerun.
+    On rerun, a row is skipped when its final checkpoint was trained with
+    this run's configuration and its report.json has this run's pair count
+    and seed; any other row is trained and evaluated again, over its files.
+    The manifest is compared by path only, not by its contents.
     """
     from . import evaluate, model as model_mod, training
 
@@ -393,24 +390,29 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest.load(manifest)
-    pairs = evaluate.sample_pairs(man, n=n_pairs, scenario="s2s", seed=base.seed)
     embedder = evaluate.train_speaker_embedder(
         list(evaluate.load_mels(man).values()), seed=base.seed)
     rows = []
     for row, name, run_cfg in training.ablation_suite(base):
         run_dir = Path(run_cfg.out_dir)
         report_path = run_dir / "report.json"
-        if report_path.exists():
+        ckpt = run_dir / "checkpoint_final.s2vc"
+        if report_path.exists() and ckpt.exists():
             with open(report_path, encoding="utf-8") as fh:
                 prior = json.load(fh)["results"][0]
-            rows.append({"row": f"({row})", "name": name, **prior})
-            click.echo(f"({row}) {name}: already done, skipping")
-            continue
+            _, _, extra, _ = model_mod.load_checkpoint(ckpt)
+            if ((prior["n_pairs"], prior["seed"]) == (n_pairs, base.seed)
+                    and extra.get("train_config") == asdict(run_cfg)):
+                rows.append({"row": f"({row})", "name": name, **prior})
+                click.echo(f"({row}) {name}: already done, skipping")
+                continue
+        # a retrain that fails must not leave the old report to be reused
+        report_path.unlink(missing_ok=True)
         click.echo(f"({row}) {name}: training {run_cfg.max_steps} steps")
         ckpt = training.run_training(run_cfg)
         mdl, _, _, _ = model_mod.load_checkpoint(ckpt)
         result = evaluate.run_eval(mdl, man, "s2s", n_pairs, base.seed, run_dir,
-                                   embedder=embedder, pairs=pairs)
+                                   embedder=embedder)
         rows.append({"row": f"({row})", "name": name, **result})
     evaluate.render_report(rows, out / "ablation_report.json",
                            out / "ablation_report.txt")

@@ -14,7 +14,7 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,13 +87,6 @@ class MelConfig:
         if self.fmax > self.sample_rate / 2:
             raise DspError("fmax above Nyquist")
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class Spectrogram:
@@ -149,7 +142,7 @@ def read_wav(path):
                 raise WavDecodeError("fmt chunk too small", offset=pos)
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
-            data = body
+            data, data_at = body, pos
         pos += 8 + chunk_size + (chunk_size & 1)
 
     if fmt is None or data is None:
@@ -158,12 +151,15 @@ def read_wav(path):
     if n_channels < 1:
         raise WavDecodeError("zero channels")
 
-    if audio_format == 1 and bits == 16:
-        arr = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        arr = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise WavDecodeError(f"unsupported codec (format={audio_format}, bits={bits})")
+    if len(data) % (bits // 8):
+        raise WavDecodeError(f"data chunk of {len(data)} bytes is no whole number "
+                             f"of {bits}-bit samples", offset=data_at)
+    if audio_format == 1:
+        arr = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        arr = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if n_channels > 1:
         usable = (len(arr) // n_channels) * n_channels
         arr = arr[:usable].reshape(-1, n_channels).mean(axis=1)

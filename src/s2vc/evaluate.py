@@ -9,7 +9,7 @@ across configurations with shared seeds and pair samples are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ class EvalError(Error):
 class TestPair:
     source: object           # ManifestEntry
     targets: list            # up to five ManifestEntries, same speaker
-    scenario: str = "s2s"    # "s2s" | "u2u"
 
     def __post_init__(self):
         if not self.targets:
@@ -105,7 +104,7 @@ def sample_pairs(manifest, n=400, scenario="s2s", seed=0, train_speakers=None):
         src = src_entries[int(rng.integers(0, len(src_entries)))]
         tgt_entries = eligible_targets[tgt_spk]
         idx = rng.choice(len(tgt_entries), size=TARGETS_PER_PAIR, replace=False)
-        pairs.append(TestPair(src, [tgt_entries[int(i)] for i in idx], scenario))
+        pairs.append(TestPair(src, [tgt_entries[int(i)] for i in idx]))
     return pairs
 
 
@@ -174,13 +173,12 @@ def _convert_pairs(model, pairs, mels):
 
 
 def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
-             pairs=None, train_speakers=None):
+             train_speakers=None):
     """Objective evaluation of ``model``; writes report.json and report.txt
     to ``out_dir`` and returns the result row.
 
     The embedder and the EER calibration always use the whole manifest;
-    ``scenario`` and ``train_speakers`` select the pairs (see sample_pairs)
-    unless ``pairs`` is given.
+    ``scenario`` and ``train_speakers`` select the pairs (see sample_pairs).
 
     Each utterance is embedded once, each pair's source is encoded once for
     both of its forwards, and each distinct source is self-reconstructed
@@ -191,9 +189,8 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if pairs is None:
-        pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
-                             train_speakers=train_speakers)
+    pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
+                         train_speakers=train_speakers)
     mels = load_mels(manifest)
     if embedder is None:
         with cpus.Helper(lambda: train_speaker_embedder(list(mels.values()),
@@ -229,7 +226,7 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
         "recon_l1": float(np.mean(recon_l1)),
     }
     render_report([result], out_dir / "report.json", out_dir / "report.txt",
-                  model_config=model.config.to_dict())
+                  model_config=asdict(model.config))
     return result
 
 
@@ -386,12 +383,6 @@ class ProbeResult:
     train_accuracy: float
     dev_accuracy: float
     class_count: int
-
-    def to_dict(self):
-        return {"site": self.site, "feature_kinds": list(self.feature_kinds),
-                "train_accuracy": self.train_accuracy,
-                "dev_accuracy": self.dev_accuracy,
-                "class_count": self.class_count}
 
 
 def _linear_probe(train_x, train_y, dev_x, dev_y, n_classes, steps=1000, seed=0):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +119,10 @@ class FeatureSequence:
 
 def extract_mel(buf, utterance_id="", speaker_id=""):
     """Log-mel features of ``dsp.MelConfig()``, at 100 fps, wrapped as a
-    FeatureSequence."""
+    FeatureSequence; audio at another rate is resampled to its rate first."""
     cfg = dsp.MelConfig()
-    if buf.sample_rate != 16000:
-        raise FeatureError(f"expected 16 kHz audio, got {buf.sample_rate} Hz")
+    if buf.sample_rate != cfg.sample_rate:
+        buf = dsp.resample(buf, cfg.sample_rate)
     spec = dsp.log_mel(buf, cfg)
     kind = resolve_kind("mel")
     fps = cfg.sample_rate / cfg.hop_length
@@ -235,17 +235,6 @@ class ManifestEntry:
     wav: str = ""
     features: dict = field(default_factory=dict)  # kind name -> file path
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "utterance_id": self.utterance_id,
-                "speaker_id": self.speaker_id,
-                "wav": self.wav,
-                "features": self.features,
-            },
-            sort_keys=True,
-        )
-
     def load(self, kind):
         """This utterance's ``kind`` features, carrying the manifest's
         utterance and speaker ids."""
@@ -293,7 +282,8 @@ class Manifest:
         return cls(entries)
 
     def save(self, path):
-        text = "".join(e.to_json() + "\n" for e in self.entries)
+        text = "".join(json.dumps(asdict(e), sort_keys=True) + "\n"
+                       for e in self.entries)
         dsp.write_atomic(path, text.encode("utf-8"))
 
     def speakers(self):

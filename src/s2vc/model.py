@@ -98,12 +98,9 @@ class ModelConfig:
     def resolved_target_dim(self):
         return self.target_dim or resolve_kind(self.target_feature_kind).nominal_dim
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
-        """The config a ``to_dict`` result describes.
+        """The config an ``asdict`` result describes.
 
         A retired key is accepted with the one value the fixed architecture
         reproduces, and dropped; any other value is an error.
@@ -383,6 +380,8 @@ def _parse_blob(buf, path):
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
         meta = json.loads(str(buf[take(meta_len):pos], "utf-8"))
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: container metadata is no JSON object")
         (count,) = struct.unpack_from("<I", buf, take(4))
         arrays = {}
         for _ in range(count):
@@ -401,30 +400,37 @@ def _parse_blob(buf, path):
     return meta, arrays
 
 
-def _unpack_blob_file(buf, magic, path):
-    """Parse a container held whole in ``buf``, bytes or a read-only map.
+def _read_blob_file(path, magic):
+    """The metadata and arrays of the container file at ``path``.
 
-    The CRC is computed as one share of the active set and the parse as
-    another.  A CRC mismatch is reported even when the parse fails too, so a
-    corrupted file is always named as such.
+    The file is memory-mapped while it is read.  Its CRC is computed as one
+    share of the active ``cpus.Shares`` and the parse as another; a CRC
+    mismatch is reported even when the parse fails too, so a corrupted file
+    is always named as such.  No returned array refers to the map, which is
+    closed before this returns.
     """
-    if len(buf) < 8 or buf[:4] != magic:
-        raise CheckpointError(f"{path}: bad magic")
-    (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
+    with open(path, "rb") as fh:
+        # an empty file cannot be mapped, and a shorter one has no magic and CRC
+        if os.fstat(fh.fileno()).st_size < 8:
+            raise CheckpointError(f"{path}: bad magic")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            if buf[:4] != magic:
+                raise CheckpointError(f"{path}: bad magic")
+            (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
 
-    def check_crc():
-        with memoryview(buf) as whole, whole[:-4] as payload:
-            if zlib.crc32(payload) != crc:
-                raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
+            def check_crc():
+                with memoryview(buf) as whole, whole[:-4] as payload:
+                    if zlib.crc32(payload) != crc:
+                        raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
 
-    return cpus.active().run([check_crc, lambda: _parse_blob(buf, path)])[1]
+            return cpus.active().run([check_crc, lambda: _parse_blob(buf, path)])[1]
 
 
 def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=None):
     """Serialize parameters, batch-norm stats, and configs; CRC-trailed."""
     meta = {
-        "model_config": model.config.to_dict(),
-        "mel_config": (mel_config or MelConfig()).to_dict(),
+        "model_config": asdict(model.config),
+        "mel_config": asdict(mel_config or MelConfig()),
     }
     if extra_meta:
         meta["extra"] = extra_meta
@@ -458,20 +464,11 @@ def _fold_pre_norm_biases(config, arrays):
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays).
-
-    The file is memory-mapped while it loads, and its CRC is computed beside
-    the parse when the active ``cpus.Shares`` has a thread; no returned array
-    refers to the map, which is closed before this returns.
-    """
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
-            raise CheckpointError(f"{path}: bad magic")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
-            meta, arrays = _unpack_blob_file(buf, CHECKPOINT_MAGIC, path)
+    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays)."""
+    meta, arrays = _read_blob_file(path, CHECKPOINT_MAGIC)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
-        mel_cfg = MelConfig.from_dict(meta["mel_config"])
+        mel_cfg = MelConfig(**meta["mel_config"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
     except ModelError as e:
@@ -495,11 +492,13 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    meta, arrays = _unpack_blob_file(raw, TRACE_MAGIC, path)
-    return AttentionTrace(
-        q=arrays["q"], k=arrays["k"], v=arrays["v"],
-        attn_weights=arrays["attn_weights"],
-        pooled_target=arrays.get("pooled_target") if meta.get("has_pooled") else None,
-    )
+    """The AttentionTrace a ``write_trace`` file holds; a trace without one
+    of its arrays raises CheckpointError naming it."""
+    meta, arrays = _read_blob_file(path, TRACE_MAGIC)
+    names = ["q", "k", "v", "attn_weights"]
+    if meta.get("has_pooled"):
+        names.append("pooled_target")
+    for name in names:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: trace has no {name!r} array")
+    return AttentionTrace(*(arrays[name] for name in names))

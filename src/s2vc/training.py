@@ -72,16 +72,6 @@ class TrainConfig:
         if self.seed < 0:
             raise TrainingError("seed must be non-negative")
 
-    def to_dict(self):
-        d = asdict(self)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        return cls(**d)
-
 
 def reconstruction_loss(pred, target):
     """Mean absolute error between predicted and ground-truth log-mel."""
@@ -346,7 +336,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
     def _save(path, at_step):
         save_checkpoint(
             model, path, extra_meta={
-                "train_config": cfg.to_dict(),
+                "train_config": asdict(cfg),
                 "train_speakers": train_speakers,
                 "step": at_step,
                 "optimizer_t": optimizer.t,

@@ -644,13 +644,41 @@ class TestAblate:
                             record("pairs", evaluate.sample_pairs))
         monkeypatch.setattr(evaluate, "train_speaker_embedder",
                             record("embedder", evaluate.train_speaker_embedder))
-        monkeypatch.setattr(training, "ablation_suite", lambda base: [])
+        suite = training.ablation_suite
+        monkeypatch.setattr(training, "ablation_suite", lambda base: suite(base)[:1])
         res = runner.invoke(main, ["ablate", "--config", str(cfg), "--manifest",
                                    str(corpus_manifest), "--out-dir",
-                                   str(tmp_path / "abl"), "--n-pairs", "2"],
+                                   str(tmp_path / "abl"), "--max-steps", "1",
+                                   "--n-pairs", "2"],
                             env={"S2VC_SEED": None})
         assert res.exit_code == 0, res.output
         assert seeds == {"pairs": 5, "embedder": 5}
+
+    @pytest.mark.parametrize("rerun,n_rows", [
+        (["--max-steps", "2", "--n-pairs", "4", "--seed", "9"], 7),
+        (["--max-steps", "2", "--n-pairs", "3", "--seed", "0"], 1),
+        (["--max-steps", "1", "--n-pairs", "4", "--seed", "0"], 1),
+        (["--max-steps", "1", "--n-pairs", "3", "--seed", "9"], 1),
+    ], ids=["all three", "train config", "pair count", "seed"])
+    def test_stale_rows_retrained(self, rerun, n_rows, runner, corpus_manifest,
+                                  tmp_path, monkeypatch):
+        suite = training.ablation_suite
+        monkeypatch.setattr(training, "ablation_suite",
+                            lambda base: suite(base)[:n_rows])
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        out = tmp_path / "abl"
+        args = ["ablate", "--config", str(cfg), "--manifest", str(corpus_manifest),
+                "--out-dir", str(out)]
+        res = runner.invoke(main, [*args, "--max-steps", "1", "--n-pairs", "3",
+                                   "--seed", "0"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [*args, *rerun])
+        assert res.exit_code == 0, res.output
+        assert "skipping" not in res.output
+        assert res.output.count(f"training {rerun[1]} steps") == n_rows
+        rows = json.loads((out / "ablation_report.json").read_text())["results"]
+        assert {(r["n_pairs"], r["seed"]) for r in rows} == {(int(rerun[3]),
+                                                             int(rerun[5]))}
 
     def test_truncated_feature_file_runtime_error(self, runner, corpus_manifest,
                                                   tmp_path):
@@ -702,7 +730,7 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
         return ["train", "--config", str(config), "--manifest", str(corpus_manifest),
                 "--out-dir", str(tmp_path / "run"), "--max-steps", "1"]
     if case.startswith("eval manifest"):
-        lines = [e.to_json().encode() for e in Manifest.load(corpus_manifest).entries]
+        lines = Path(corpus_manifest).read_bytes().splitlines()
         if case.endswith("non-UTF-8 line"):
             lines[2] = lines[2].replace(b'"spk', b'"\xffspk')
         else:

@@ -142,6 +142,15 @@ class TestWav:
         with pytest.raises(WavDecodeError):
             read_wav(bad)
 
+    def test_partial_sample_errors_at_data_chunk(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        write_wav(path, AudioBuffer(np.zeros(4), 16000))
+        raw = bytearray(path.read_bytes()[:47])
+        raw[40:44] = (3).to_bytes(4, "little")   # a data chunk of 1.5 samples
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WavDecodeError, match=r"3 bytes .* \(at byte 36\)"):
+            read_wav(path)
+
     def test_not_riff_errors(self, tmp_path):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"NOPE" + b"\x00" * 100)

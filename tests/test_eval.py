@@ -1,6 +1,7 @@
 import os
 import signal
 import time
+from dataclasses import asdict
 from itertools import groupby
 
 import numpy as np
@@ -344,7 +345,7 @@ def _run_eval_reference(model, manifest, scenario, n_pairs, seed, out_dir,
               "sv_accuracy": sv_accuracy(scores, threshold), "eer": eer,
               "threshold": threshold, "recon_l1": float(np.mean(recon_l1))}
     render_report([result], out_dir / "report.json", out_dir / "report.txt",
-                  model_config=model.config.to_dict())
+                  model_config=asdict(model.config))
     return result
 
 
@@ -399,9 +400,9 @@ class TestRunEval:
                             counted("embed", SpeakerEmbedder.embed))
         monkeypatch.setattr(S2VCModel, "target_encode",
                             counted("target_encode", S2VCModel.target_encode))
-        pairs = sample_pairs(man, n=20, seed=5)
+        pairs = sample_pairs(man, n=20, seed=5)   # the pairs run_eval draws
         evaluate.run_eval(tiny_model, man, "s2s", len(pairs), 5, tmp_path,
-                          embedder=embedder, pairs=pairs)
+                          embedder=embedder)
 
         assert calls["embed"] == len(man.entries) + len(pairs)
 

@@ -426,9 +426,9 @@ def legacy_checkpoint(path, model, rng):
                   for i in range(cfg.n_decoder_conformer)]
     for name, width in cancelled:
         arrays[f"param.{name}"] = rng.normal(scale=0.5, size=(1, width)).astype(np.float32)
-    meta = {"model_config": {**cfg.to_dict(), "n_attention_blocks": 1,
+    meta = {"model_config": {**dataclasses.asdict(cfg), "n_attention_blocks": 1,
                              "sap_strategy": "add", "dropout": 0.0},
-            "mel_config": dsp.MelConfig().to_dict()}
+            "mel_config": dataclasses.asdict(dsp.MelConfig())}
     path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC, meta, arrays))
 
 
@@ -465,8 +465,8 @@ class TestLegacyCheckpoint:
                                            ("dropout", 0.1)])
     def test_other_retired_value_rejected(self, key, value, tiny_model, tmp_path):
         path = tmp_path / "legacy.s2vc"
-        meta = {"model_config": {**tiny_model.config.to_dict(), key: value},
-                "mel_config": dsp.MelConfig().to_dict()}
+        meta = {"model_config": {**dataclasses.asdict(tiny_model.config), key: value},
+                "mel_config": dataclasses.asdict(dsp.MelConfig())}
         path.write_bytes(model_mod._pack_blob_file(
             model_mod.CHECKPOINT_MAGIC, meta, tiny_model.state_arrays()))
         with pytest.raises(CheckpointError, match=key):
@@ -568,6 +568,15 @@ class TestLoadPath:
         with pytest.raises(CheckpointError, match=match):
             read(path)
 
+    @pytest.mark.parametrize("kind", ["checkpoint", "trace"])
+    def test_metadata_not_an_object_rejected(self, kind, tmp_path):
+        magic, read = {"checkpoint": (model_mod.CHECKPOINT_MAGIC, load_checkpoint),
+                       "trace": (model_mod.TRACE_MAGIC, read_trace)}[kind]
+        path = tmp_path / "blob"
+        path.write_bytes(model_mod._pack_blob_file(magic, [], {}))
+        with pytest.raises(CheckpointError, match="no JSON object"):
+            read(path)
+
     def test_metadata_without_model_config_rejected(self, tmp_path):
         path = tmp_path / "model.s2vc"
         path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC,
@@ -645,8 +654,8 @@ class TestMappedLoad:
         other = S2VCModel(tiny_model_config(), seed=4)
         path.write_bytes(model_mod._pack_blob_file(
             model_mod.CHECKPOINT_MAGIC,
-            {"model_config": other.config.to_dict(),
-             "mel_config": dsp.MelConfig().to_dict()},
+            {"model_config": dataclasses.asdict(other.config),
+             "mel_config": dataclasses.asdict(dsp.MelConfig())},
             other.state_arrays()))
         reloaded, _, _, _ = load_checkpoint(path)
         for k, p in other.params.items():
@@ -696,3 +705,14 @@ class TestTrace:
         path = tmp_path / "trace.s2vt"
         write_trace(path, trace)
         assert read_trace(path).pooled_target is None
+
+    @pytest.mark.parametrize("has_pooled,missing", [(False, "q"),
+                                                    (True, "pooled_target")])
+    def test_missing_array_rejected(self, has_pooled, missing, tmp_path):
+        names = ["q", "k", "v", "attn_weights", "pooled_target"]
+        arrays = {n: np.zeros((2, 2), np.float32) for n in names if n != missing}
+        path = tmp_path / "trace.s2vt"
+        path.write_bytes(model_mod._pack_blob_file(
+            model_mod.TRACE_MAGIC, {"has_pooled": has_pooled}, arrays))
+        with pytest.raises(CheckpointError, match=f"no '{missing}' array"):
+            read_trace(path)

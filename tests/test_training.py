@@ -116,11 +116,6 @@ class TestTrainConfig:
         with pytest.raises(TrainingError):
             TrainConfig(batch_size=0)
 
-    def test_dict_roundtrip(self):
-        cfg = TrainConfig(max_steps=7, model=tiny_model_config())
-        again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
 
 class TestTrainStep:
     def test_loss_decreases_on_repeat(self, corpus_manifest):
