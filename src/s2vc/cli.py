@@ -4,8 +4,12 @@ Subcommands: feats, train, convert, eval, probe, ablate.  Configuration is
 layered: built-in defaults < config file < command-line flags.  The resolved
 snapshot is embedded in every checkpoint and report the run produces.
 
-Seeds come from ``--seed``, else ``S2VC_SEED``, else (for train and ablate)
-the config file's ``train.seed``, else 0.
+A config value must have its field's type.  Each config dataclass checks
+its own fields (``s2vc.check_field_types``), so a checkpoint's metadata is
+held to the same types.  The seed of ``train`` and ``ablate`` is
+``--seed``, else the config file's ``train.seed``, else 0; the seed of
+``eval`` and ``probe`` is ``--seed``, else 0.  No setting is read from the
+environment.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 ``_Commands.invoke`` is the one place that turns a failure into an exit: a
@@ -19,10 +23,8 @@ use them, so ``feats`` never loads the tensor library.
 from __future__ import annotations
 
 import json
-import os
 import sys
-import typing
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -78,21 +80,11 @@ def load_config_file(path):
     return values
 
 
-def _type_matches(value, expected):
-    """Whether a parsed config value fits a field annotated ``expected``;
-    a bool fits only bool fields, and an int also fits float fields."""
-    if isinstance(value, bool) or expected is bool:
-        return type(value) is expected
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
-
-
 def resolve_train_config(config_file=None, overrides=None):
     """defaults < config file < flag overrides.
 
-    An unknown key, a value of the wrong type or a value the configs reject
-    raises ConfigError.
+    An unknown key, or a value the config dataclasses reject, raises
+    ConfigError naming its section.
     """
     from .model import ModelConfig
     from .training import TrainConfig
@@ -104,37 +96,21 @@ def resolve_train_config(config_file=None, overrides=None):
         values.update({k: v for k, v in overrides.items() if v is not None})
 
     sections = {"model": ModelConfig, "train": TrainConfig}
-    fields = {name: typing.get_type_hints(cls) for name, cls in sections.items()}
+    known = {name: {f.name for f in fields(cls)} for name, cls in sections.items()}
     chosen = {name: {} for name in sections}
     for full, value in values.items():
         name, _, key = full.partition(".")
-        expected = fields.get(name, {}).get(key)
-        if expected is None:
+        if key not in known.get(name, ()):
             raise ConfigError(f"unknown config key: {full}")
-        if not _type_matches(value, expected):
-            raise ConfigError(f"invalid config value: {full} = {value} "
-                              f"(expected {expected.__name__})")
         chosen[name][key] = value
 
-    try:
-        model_cfg = replace(ModelConfig(), **chosen["model"])
-        cfg = replace(TrainConfig(model=model_cfg), **chosen["train"])
-    except Error as e:
-        raise ConfigError(f"invalid config value: {e}") from e
-    return cfg
-
-
-def _global_seed(seed, default=0):
-    """``--seed``, else ``S2VC_SEED``, else ``default``."""
-    if seed is not None:
-        return seed
-    env = os.environ.get("S2VC_SEED")
-    if not env:
-        return default
-    if not env.isdecimal():
-        raise click.UsageError(
-            f"invalid S2VC_SEED {env!r}: expected a non-negative integer")
-    return int(env)
+    built = {}   # the model section, then the train section holding it
+    for name, cls in sections.items():
+        try:
+            built[name] = cls(**{**built, **chosen[name]})
+        except Error as e:
+            raise ConfigError(f"invalid config value: {name}.{e}") from e
+    return built["train"]
 
 
 def _fail(message, code):
@@ -243,30 +219,19 @@ def cmd_feats(wav_dir, out_dir, manifest):
 @click.option("--out-dir", default=None)
 @click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option("--ablation", default=None,
-              help="Named ablation, e.g. no-bottleneck or no_cross_attention.")
 @click.option("--resume", type=click.Path(), default=None)
 @click.option("--show-config", is_flag=True)
-def cmd_train(config_file, manifest, out_dir, max_steps, seed, ablation, resume,
-              show_config):
-    """Train a model by self-reconstruction."""
+def cmd_train(config_file, manifest, out_dir, max_steps, seed, resume, show_config):
+    """Train a model by self-reconstruction.
+
+    An ablated configuration is chosen by the use_* keys of the config
+    file's [model] section.
+    """
     from . import training
 
-    overrides = {
-        "train.manifest": manifest,
-        "train.out_dir": out_dir,
-        "train.max_steps": max_steps,
-        "train.seed": _global_seed(seed, default=None),
-    }
-    cfg = resolve_train_config(config_file, overrides)
-    if ablation:
-        ablation_names = {name: overrides
-                          for _, name, overrides in training.ABLATION_ROWS}
-        flags = ablation_names.get(ablation.replace("-", "_"))
-        if flags is None:
-            raise ConfigError(f"unknown ablation {ablation!r}; options: "
-                              + ", ".join(sorted(ablation_names)))
-        cfg = replace(cfg, model=replace(cfg.model, **flags))
+    cfg = resolve_train_config(config_file, {
+        "train.manifest": manifest, "train.out_dir": out_dir,
+        "train.max_steps": max_steps, "train.seed": seed})
     if show_config:
         click.echo(json.dumps(asdict(cfg), indent=2, sort_keys=True))
         return
@@ -325,13 +290,12 @@ def cmd_convert(checkpoint, source, targets, out_wav, dump_trace, gl_iters):
               show_default=True)
 @click.option("--n-pairs", type=click.IntRange(min=1), default=400,
               show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", default="eval_out", show_default=True)
 def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
     """Objective evaluation: SV accuracy plus a reconstruction-error proxy."""
     from . import evaluate, model as model_mod
 
-    seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
     _steady_heap()
     mdl, _, extra, _ = model_mod.load_checkpoint(checkpoint)
@@ -345,13 +309,12 @@ def cmd_eval(checkpoint, manifest_path, scenario, n_pairs, seed, out_dir):
 @click.argument("checkpoint", type=click.Path())
 @click.argument("manifest_path", type=click.Path())
 @click.option("--site", type=click.Choice(["Q", "K", "V"]), required=True)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_json", default=None)
 def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
     """Linear speaker-information probe on an attention site."""
     from . import evaluate, model as model_mod
 
-    seed = _global_seed(seed)
     _require_inputs(("checkpoint", checkpoint), ("manifest", manifest_path))
     mdl, _, _, _ = model_mod.load_checkpoint(checkpoint)
     manifest = Manifest.load(manifest_path)
@@ -382,7 +345,7 @@ def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
 
     overrides = {"train.manifest": manifest, "train.out_dir": out_dir,
                  "train.max_steps": max_steps,
-                 "train.seed": _global_seed(seed, default=None)}
+                 "train.seed": seed}
     base = resolve_train_config(config_file, overrides)
     if not Path(manifest).exists():
         raise click.UsageError(f"manifest not found: {manifest}")

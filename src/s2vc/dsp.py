@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import Error, cpus
+from . import Error, check_field_types, cpus
 
 __all__ = [
     "AudioBuffer",
@@ -82,6 +82,7 @@ class MelConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        check_field_types(self, DspError)
         if not (self.hop_length <= self.win_length <= self.n_fft):
             raise DspError("require hop_length <= win_length <= n_fft")
         if self.fmax > self.sample_rate / 2:

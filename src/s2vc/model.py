@@ -21,9 +21,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import Error, cpus, nn
+from . import Error, check_field_types, cpus, nn
 from . import tensor as T
-from .dsp import MelConfig, write_atomic
+from .dsp import DspError, MelConfig, write_atomic
 from .features import align_frame_rate, resolve_kind
 from .tensor import Tensor
 
@@ -52,10 +52,21 @@ class CheckpointError(ModelError):
     pass
 
 
+# the fixed architecture's layer counts and target-encoder kernel size
+N_SOURCE_LAYERS = 4
+N_TARGET_CONV = 3
+TARGET_CONV_KERNEL = 5
+N_DECODER_CONFORMER = 3
+
 # keys of older configs -> the only value the one fixed architecture matches:
 # a single cross-attention block, the pooled target vector added to the
-# source encoding, and no dropout
-RETIRED_CONFIG_KEYS = {"n_attention_blocks": 1, "sap_strategy": "add", "dropout": 0.0}
+# source encoding, no dropout, and the fixed depths, kernel and head count
+RETIRED_CONFIG_KEYS = {
+    "n_attention_blocks": 1, "sap_strategy": "add", "dropout": 0.0,
+    "n_source_layers": N_SOURCE_LAYERS, "n_target_conv": N_TARGET_CONV,
+    "conv_kernel": TARGET_CONV_KERNEL, "n_decoder_conformer": N_DECODER_CONFORMER,
+    "conformer_heads": nn.CONFORMER_HEADS,
+}
 
 
 @dataclass(frozen=True)
@@ -65,11 +76,6 @@ class ModelConfig:
     target_feature_kind: str = "cpc"
     source_dim: int = 0   # 0 -> nominal dim of the kind
     target_dim: int = 0
-    n_source_layers: int = 4
-    n_target_conv: int = 3
-    conv_kernel: int = 5
-    n_decoder_conformer: int = 3
-    conformer_heads: int = 2
     conformer_ff_dim: int = 1024
     conformer_conv_kernel: int = 15
     attn_bottleneck_dim: int = 4
@@ -80,13 +86,19 @@ class ModelConfig:
     mel_dim: int = 80
 
     def __post_init__(self):
-        if self.attn_bottleneck_dim > self.d_model:
-            raise ModelError("attn_bottleneck_dim must not exceed d_model")
-        for f in ("d_model", "n_source_layers", "n_target_conv", "conv_kernel",
-                  "n_decoder_conformer", "conformer_heads", "conformer_ff_dim",
-                  "conformer_conv_kernel", "attn_bottleneck_dim", "mel_dim"):
+        check_field_types(self, ModelError)
+        for f in ("d_model", "conformer_ff_dim", "conformer_conv_kernel",
+                  "attn_bottleneck_dim", "mel_dim"):
             if getattr(self, f) <= 0:
                 raise ModelError(f"{f} must be positive")
+        if self.attn_bottleneck_dim > self.d_model:
+            raise ModelError("attn_bottleneck_dim must not exceed d_model")
+        for f in ("source_dim", "target_dim"):
+            if getattr(self, f) < 0:
+                raise ModelError(f"{f} must be non-negative")
+        if self.d_model % nn.CONFORMER_HEADS:
+            raise ModelError(f"d_model = {self.d_model} (expected a multiple of "
+                             f"the {nn.CONFORMER_HEADS} conformer heads)")
 
     @property
     def attn_dim(self):
@@ -103,8 +115,11 @@ class ModelConfig:
         """The config an ``asdict`` result describes.
 
         A retired key is accepted with the one value the fixed architecture
-        reproduces, and dropped; any other value is an error.
+        reproduces, and dropped; any other value, or a ``d`` that is no
+        dict, is an error.
         """
+        if not isinstance(d, dict):
+            raise ModelError("model_config is no JSON object")
         d = dict(d)
         for key, fixed in RETIRED_CONFIG_KEYS.items():
             value = d.pop(key, fixed)
@@ -157,15 +172,15 @@ class S2VCModel:
         tgt_dim = cfg.resolved_target_dim()
 
         # batch norm subtracts any bias the layer in front of it could add
-        for i in range(cfg.n_source_layers):
+        for i in range(N_SOURCE_LAYERS):
             d_in = src_dim if i == 0 else d
             nn.init_linear(self.params, f"src.{i}", d_in, d, rng, bias=False)
             nn.init_batchnorm(self.params, self.buffers, f"src.{i}.bn", d,
                               shape_only=rng is None)
 
-        for i in range(cfg.n_target_conv):
+        for i in range(N_TARGET_CONV):
             c_in = tgt_dim if i == 0 else d
-            nn.init_conv1d(self.params, f"tgt.{i}", c_in, d, cfg.conv_kernel, rng)
+            nn.init_conv1d(self.params, f"tgt.{i}", c_in, d, TARGET_CONV_KERNEL, rng)
 
         if cfg.use_sap:
             nn.init_sap(self.params, "sap", d, rng)
@@ -182,7 +197,7 @@ class S2VCModel:
                 nn.init_linear(self.params, "attn.0.bk", d, cfg.attn_bottleneck_dim, rng,
                                bias=False)
 
-        for i in range(cfg.n_decoder_conformer):
+        for i in range(N_DECODER_CONFORMER):
             nn.init_conformer_block(self.params, self.buffers, f"dec.{i}", cfg, rng)
         nn.init_linear(self.params, "dec.out", d, cfg.mel_dim, rng)
 
@@ -193,11 +208,11 @@ class S2VCModel:
         self._check_seq(src, cfg.source_feature_kind, cfg.resolved_source_dim(),
                         "source")
         h = Tensor(src.frames)
-        for i in range(cfg.n_source_layers):
+        for i in range(N_SOURCE_LAYERS):
             h = nn.linear(self.params, f"src.{i}", h)
             h = nn.batchnorm(self.params, self.buffers, f"src.{i}.bn", h, train,
                              bn_stats)
-            if i < cfg.n_source_layers - 1:
+            if i < N_SOURCE_LAYERS - 1:
                 h = T.relu(h)
         return h
 
@@ -206,7 +221,7 @@ class S2VCModel:
         self._check_seq(tgt, cfg.target_feature_kind, cfg.resolved_target_dim(),
                         "target")
         h = Tensor(tgt.frames)
-        for i in range(cfg.n_target_conv):
+        for i in range(N_TARGET_CONV):
             h = T.relu(nn.conv1d(self.params, f"tgt.{i}", h))
         return h
 
@@ -264,7 +279,7 @@ class S2VCModel:
 
     def decode(self, h, train=False, bn_stats=None):
         cfg = self.config
-        for i in range(cfg.n_decoder_conformer):
+        for i in range(N_DECODER_CONFORMER):
             h = nn.conformer_block(self.params, self.buffers, f"dec.{i}", h, cfg,
                                    train=train, bn_stats=bn_stats)
         return nn.linear(self.params, "dec.out", h)
@@ -440,7 +455,7 @@ def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=
     write_atomic(path, _pack_blob_file(CHECKPOINT_MAGIC, meta, arrays))
 
 
-def _fold_pre_norm_biases(config, arrays):
+def _fold_pre_norm_biases(arrays):
     """Fold the biases older checkpoints keep in front of batch norm into
     the running mean that follows each one.
 
@@ -449,9 +464,9 @@ def _fold_pre_norm_biases(config, arrays):
     The other arrays older checkpoints carry, whose gradient is identically
     zero too, are left for the load to ignore.
     """
-    pairs = [(f"src.{i}.b", f"src.{i}.bn") for i in range(config.n_source_layers)]
+    pairs = [(f"src.{i}.b", f"src.{i}.bn") for i in range(N_SOURCE_LAYERS)]
     pairs += [(f"dec.{i}.conv.dw.b", f"dec.{i}.conv.bn")
-              for i in range(config.n_decoder_conformer)]
+              for i in range(N_DECODER_CONFORMER)]
     for bias, bn in pairs:
         b = arrays.pop(f"param.{bias}", None)
         rm = arrays.get(f"buffer.{bn}.running_mean")
@@ -471,9 +486,9 @@ def load_checkpoint(path):
         mel_cfg = MelConfig(**meta["mel_config"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
-    except ModelError as e:
+    except (ModelError, DspError) as e:
         raise CheckpointError(f"{path}: {e}") from e
-    _fold_pre_norm_biases(config, arrays)
+    _fold_pre_norm_biases(arrays)
     model = S2VCModel.from_state_arrays(config, arrays)
     extra_arrays = {k[len("extra."):]: v for k, v in arrays.items()
                     if k.startswith("extra.")}

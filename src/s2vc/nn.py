@@ -23,6 +23,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 IN_EPS = 1e-5
 LN_EPS = 1e-5
+CONFORMER_HEADS = 2
 
 
 def _unset(shape, requires_grad):
@@ -126,12 +127,12 @@ def init_mhsa(params, name, d_model, rng):
         init_linear(params, f"{name}.{proj}", d_model, d_model, rng, bias=proj != "k")
 
 
-def multi_head_self_attention(params, name, x, n_heads):
+def multi_head_self_attention(params, name, x):
     q = linear(params, f"{name}.q", x)
     k = linear(params, f"{name}.k", x)
     v = linear(params, f"{name}.v", x)
-    scale = 1.0 / float(np.sqrt(x.shape[1] // n_heads))
-    heads, _ = T.attention(q, k, v, n_heads, scale)
+    scale = 1.0 / float(np.sqrt(x.shape[1] // CONFORMER_HEADS))
+    heads, _ = T.attention(q, k, v, CONFORMER_HEADS, scale)
     return linear(params, f"{name}.o", heads)
 
 
@@ -178,11 +179,11 @@ def _ff(params, name, x):
 
 
 def conformer_block(params, buffers, name, x, cfg, train=False, bn_stats=None):
-    """Pre-norm conformer: half-step FF, MHSA, conv module, half-step FF, LN."""
+    """Pre-norm conformer: half-step FF, MHSA, conv module, half-step FF, LN.
+    Its sizes come from the parameters, so ``cfg`` is not read."""
     x = x + 0.5 * _ff(params, f"{name}.ff1", x)
     attn_in = layer_norm(params, f"{name}.attn.ln", x)
-    x = x + multi_head_self_attention(params, f"{name}.attn", attn_in,
-                                      cfg.conformer_heads)
+    x = x + multi_head_self_attention(params, f"{name}.attn", attn_in)
     c = layer_norm(params, f"{name}.conv.ln", x)
     c = glu(linear(params, f"{name}.conv.pw1", c))
     c = T.depthwise_conv1d(c, params[f"{name}.conv.dw.w"])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import Error, cpus, nn
+from . import Error, check_field_types, cpus, nn
 from . import tensor as T
 from .features import FeatureSequence, Manifest
 from .model import ModelConfig, S2VCModel, load_checkpoint, save_checkpoint
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_CROP_FRAMES = 512
+CLIP_GRAD_NORM = 1.0
 
 
 class TrainingError(Error):
@@ -52,25 +53,22 @@ class TrainingError(Error):
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.01
     batch_size: int = 8
     max_steps: int = 1000
     seed: int = 0
-    clip_grad_norm: float = 1.0
     checkpoint_every: int = 500
     manifest: str = ""
     out_dir: str = "runs/default"
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise TrainingError("seed must be non-negative")
+        check_field_types(self, TrainingError)
+        for f in ("learning_rate", "batch_size"):
+            if getattr(self, f) <= 0:
+                raise TrainingError(f"{f} must be positive")
+        for f in ("max_steps", "seed", "checkpoint_every"):
+            if getattr(self, f) < 0:
+                raise TrainingError(f"{f} must be non-negative")
 
 
 def reconstruction_loss(pred, target):
@@ -129,15 +127,15 @@ def fold_microstep(model, result):
     return loss
 
 
-def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
+def train_step(model, batch, optimizer, rng, workers=None):
     """One optimization step over a list of BatchItems.
 
     Returns the averaged loss value.  Each utterance is one ``microstep``.
     ``workers`` (a MicrostepWorkers) splits the batch into contiguous
     shares, the first computed here and the later ones by its helpers, and
     every result is folded in batch order.  The summed gradients are
-    clipped by global norm, then applied with AdamW.  ``rng`` is unused
-    since the model has no dropout; it stays for callers.
+    clipped to global norm ``CLIP_GRAD_NORM``, then applied with AdamW.
+    ``rng`` is unused since the model has no dropout; it stays for callers.
     """
     if not batch:
         raise TrainingError("empty batch")
@@ -155,7 +153,7 @@ def train_step(model, batch, optimizer, rng, clip_grad_norm=1.0, workers=None):
         raise
     for result in workers.results():
         total += fold_microstep(model, result) * len(batch)
-    clip_global_norm(model.params, clip_grad_norm)
+    clip_global_norm(model.params, CLIP_GRAD_NORM)
     optimizer.step()
     return total / len(batch)
 
@@ -315,8 +313,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
         model, _, extra, extra_arrays = load_checkpoint(resume_from)
         if extra.get("train_config") is None:
             raise TrainingError(f"{resume_from} carries no training state")
-        optimizer = AdamW(model.params, lr=cfg.learning_rate, beta1=cfg.beta1,
-                          beta2=cfg.beta2, weight_decay=cfg.weight_decay)
+        optimizer = AdamW(model.params, lr=cfg.learning_rate)
         step = int(extra["step"])
         optimizer.t = int(extra["optimizer_t"])
         for k in optimizer.m:
@@ -326,8 +323,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
         rng.bit_generator.state = json.loads(extra["rng_state"])
     else:
         model = S2VCModel(cfg.model, seed=cfg.seed)
-        optimizer = AdamW(model.params, lr=cfg.learning_rate, beta1=cfg.beta1,
-                          beta2=cfg.beta2, weight_decay=cfg.weight_decay)
+        optimizer = AdamW(model.params, lr=cfg.learning_rate)
         step = 0
         rng = np.random.default_rng(cfg.seed)
 
@@ -370,8 +366,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
                 feats = {kind: entries[int(i)].load(kind) for kind in needed}
                 batch.append(_make_item(feats, cfg, rng))
             t0 = time.monotonic()
-            loss = train_step(model, batch, optimizer, rng, cfg.clip_grad_norm,
-                              workers=workers)
+            loss = train_step(model, batch, optimizer, rng, workers=workers)
             step += 1
             line = {"step": step, "loss": loss, "lr": cfg.learning_rate,
                     "wall_ms": round((time.monotonic() - t0) * 1000.0, 3)}

@@ -258,61 +258,67 @@ class TestTrain:
         assert resolved["model"]["d_model"] == 32
         assert resolved["learning_rate"] == 0.001
 
-    def test_seed_env_fallback(self, runner, tmp_path):
+    def test_seed_env_ignored(self, runner, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
         res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"],
                             env={"S2VC_SEED": "42"})
-        assert json.loads(res.output)["seed"] == 42
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["seed"] == 0
 
-    @pytest.mark.parametrize("args,env,seed", [
-        ([], {}, 5),
-        (["--seed", "7"], {}, 7),
-        ([], {"S2VC_SEED": "9"}, 9),
-    ], ids=["file", "flag-beats-file", "env-beats-file"])
-    def test_seed_from_config_file(self, runner, tmp_path, args, env, seed):
+    @pytest.mark.parametrize("args,seed", [([], 5), (["--seed", "7"], 7)],
+                             ids=["file", "flag-beats-file"])
+    def test_seed_from_config_file(self, runner, tmp_path, args, seed):
         cfg = write_tiny_config(tmp_path / "c.cfg")
         cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
         res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config",
-                                   *args], env={"S2VC_SEED": None, **env})
+                                   *args])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["seed"] == seed
 
     def test_negative_config_seed_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[train]\nseed = -1\n")
-        res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"],
-                            env={"S2VC_SEED": None})
-        assert res.exit_code == 2, res.output
-        assert res.stderr == "error: invalid config value: seed must be non-negative\n"
-
-    def test_ablation_flag_maps_names(self, runner, tmp_path):
-        cfg = write_tiny_config(tmp_path / "c.cfg")
-        res = runner.invoke(main, ["train", "--config", str(cfg),
-                                   "--ablation", "no-bottleneck", "--show-config"])
-        assert json.loads(res.output)["model"]["use_bottleneck"] is False
-        res = runner.invoke(main, ["train", "--config", str(cfg),
-                                   "--ablation", "no_cross_attention",
-                                   "--show-config"])
-        assert json.loads(res.output)["model"]["use_cross_attention"] is False
-
-    def test_unknown_ablation_usage_error(self, runner, tmp_path):
-        cfg = write_tiny_config(tmp_path / "c.cfg")
-        res = runner.invoke(main, ["train", "--config", str(cfg),
-                                   "--ablation", "no-decoder"])
-        assert res.exit_code == 2
-        assert "unknown ablation" in res.stderr
-
-    @pytest.mark.parametrize("section,line", [
-        ("model", "d_model = 0"),
-        ("train", "learning_rate = 0"),
-    ], ids=["model", "train"])
-    def test_invalid_config_value_usage_error(self, runner, tmp_path, section, line):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"[{section}]\n{line}\n")
         res = runner.invoke(main, ["train", "--config", str(cfg), "--show-config"])
         assert res.exit_code == 2, res.output
-        assert "invalid config value" in res.stderr
-        assert line.split(" ")[0] in res.stderr
+        assert res.stderr == ("error: invalid config value: train.seed must be "
+                              "non-negative\n")
+
+    def test_unknown_ablation_usage_error(self, runner, tmp_path):
+        # an ablated row is chosen by the model section's use_* keys
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--ablation", "no-bottleneck"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: No such option")
+        assert "--ablation" in res.stderr
+
+    @pytest.mark.parametrize("section,line,message", [
+        ("model", "d_model = 0", "model.d_model must be positive"),
+        ("train", "learning_rate = 0", "train.learning_rate must be positive"),
+        ("train", "learning_rate = nan",
+         "train.learning_rate = nan (expected a finite float)"),
+        ("train", "learning_rate = inf",
+         "train.learning_rate = inf (expected a finite float)"),
+        ("train", "max_steps = -3", "train.max_steps must be non-negative"),
+        ("train", "checkpoint_every = -5",
+         "train.checkpoint_every must be non-negative"),
+        ("model", "d_model = 63",
+         "model.d_model = 63 (expected a multiple of the 2 conformer heads)"),
+        ("model", "source_dim = -5", "model.source_dim must be non-negative"),
+    ], ids=["model", "train", "nan", "inf", "max-steps", "checkpoint-every",
+            "heads", "source-dim"])
+    def test_invalid_config_value_usage_error(self, runner, corpus_manifest, tmp_path,
+                                              section, line, message):
+        """Rejected before training starts: exit 2, and no file written."""
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        cfg.write_text(cfg.read_text()
+                       + f"[train]\nmax_steps = 1\n[{section}]\n{line}\n")
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--manifest",
+                                   str(corpus_manifest), "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: invalid config value: {message}\n"
+        assert not out.exists()
 
     def test_mel_section_unknown_key(self, runner, tmp_path):
         """Features are extracted and inverted with the default MelConfig, so
@@ -649,8 +655,7 @@ class TestAblate:
         res = runner.invoke(main, ["ablate", "--config", str(cfg), "--manifest",
                                    str(corpus_manifest), "--out-dir",
                                    str(tmp_path / "abl"), "--max-steps", "1",
-                                   "--n-pairs", "2"],
-                            env={"S2VC_SEED": None})
+                                   "--n-pairs", "2"])
         assert res.exit_code == 0, res.output
         assert seeds == {"pairs": 5, "embedder": 5}
 
@@ -691,29 +696,49 @@ class TestAblate:
         assert_one_error_line(res, "payload length mismatch")
 
 
+# mistyped checkpoint metadata: case suffix -> (section, key, value), where a
+# key of None replaces the whole section
+MISTYPED_META = {
+    "model_config a list": ("model_config", None, ["abc"]),
+    "d_model 64.0": ("model_config", "d_model", 64.0),
+    "use_sap \"no\"": ("model_config", "use_sap", "no"),
+    "n_fft 512.5": ("mel_config", "n_fft", 512.5),
+}
+
+
 def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     """The command line of one case of TestFaultMatrix."""
-    if case.endswith(("below 0", "below 1")) or "seed" in case.lower():
+    by_spk = Manifest.load(corpus_manifest).speakers()
+    convert_inputs = [by_spk["spkA"][0].features["mel"],
+                      *[e.features["mel"] for e in by_spk["spkB"][:5]]]
+    if " checkpoint with " in case:   # CRC-valid, with a mistyped value
+        command, _, what = case.partition(" checkpoint with ")
+        section, key, value = MISTYPED_META[what]
+        meta, arrays = model._read_blob_file(checkpoint, model.CHECKPOINT_MAGIC)
+        meta[section] = value if key is None else {**meta[section], key: value}
+        crafted = tmp_path / "crafted.s2vc"
+        crafted.write_bytes(model._pack_blob_file(model.CHECKPOINT_MAGIC, meta, arrays))
+        if command == "convert":
+            return ["convert", str(crafted), *convert_inputs,
+                    "--out", str(tmp_path / "o.wav"), "--gl-iters", "2"]
+        return ["eval", str(crafted), str(corpus_manifest), "--n-pairs", "2",
+                "--out-dir", str(tmp_path / "o")]
+    if case.endswith(("below 0", "below 1")) or "--seed" in case:
         command = case.split()[0]
         config = ["--config", str(write_tiny_config(tmp_path / "c.cfg")),
                   "--manifest", str(corpus_manifest), "--out-dir", str(tmp_path / "o")]
-        by_spk = Manifest.load(corpus_manifest).speakers()
         args = {"train": ["train", *config, "--max-steps", "1"],
                 "ablate": ["ablate", *config, "--max-steps", "1", "--n-pairs", "2"],
                 "eval": ["eval", str(checkpoint), str(corpus_manifest),
                          "--out-dir", str(tmp_path / "o")],
                 "probe": ["probe", str(checkpoint), str(corpus_manifest),
                           "--site", "Q"],
-                "convert": ["convert", str(checkpoint),
-                            by_spk["spkA"][0].features["mel"],
-                            *[e.features["mel"] for e in by_spk["spkB"][:5]],
+                "convert": ["convert", str(checkpoint), *convert_inputs,
                             "--out", str(tmp_path / "o.wav")]}[command]
         if case.endswith(("below 0", "below 1")):   # an option value under its floor
             _, option, _, floor = case.split()
             return [*args, option, str(int(floor) - 1)]
-        if "--seed" in case:   # a value that is no integer
-            return [*args, "--seed", case.split()[-1]]
-        return args   # the seed comes from S2VC_SEED
+        return [*args, "--seed", case.split()[-1]]   # a value that is no integer
     if case.endswith("at 3e38"):   # a weight that overflows float32 downstream
         mdl, mel_cfg, extra, _ = load_checkpoint(checkpoint)
         mdl.params[case.split()[-3]].data[...] = 3e38
@@ -749,9 +774,7 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
                 "--max-steps", "1", "--resume", str(resume)]
     missing_dir = tmp_path / "nope"
     missing_file = str(missing_dir / "f")
-    by_spk = Manifest.load(corpus_manifest).speakers()
-    inputs = [str(checkpoint), by_spk["spkA"][0].features["mel"],
-              *[e.features["mel"] for e in by_spk["spkB"][:5]]]
+    inputs = [str(checkpoint), *convert_inputs]
     for role, index in (("checkpoint", 0), ("source", 1), ("target", 4)):
         if case == f"convert missing {role}":
             inputs[index] = missing_file
@@ -817,10 +840,11 @@ class TestFaultMatrix:
         "ablate --seed below 0": (2, "Invalid value for '--seed'"),
         "train --seed 1.5": (2, "Invalid value for '--seed'"),
         "eval --seed abc": (2, "Invalid value for '--seed'"),
-        "train with S2VC_SEED=abc": (2, "invalid S2VC_SEED 'abc'"),
-        "eval with S2VC_SEED=-1": (2, "invalid S2VC_SEED '-1'"),
-        "probe with S2VC_SEED=1.5": (2, "invalid S2VC_SEED '1.5'"),
-        "ablate with S2VC_SEED=-2": (2, "invalid S2VC_SEED '-2'"),
+        "eval checkpoint with model_config a list": (1, "model_config is no JSON object"),
+        "eval checkpoint with d_model 64.0": (1, "d_model = 64.0 (expected int)"),
+        "eval checkpoint with use_sap \"no\"": (1, "use_sap = no (expected bool)"),
+        "eval checkpoint with n_fft 512.5": (1, "n_fft = 512.5 (expected int)"),
+        "convert checkpoint with n_fft 512.5": (1, "n_fft = 512.5 (expected int)"),
         "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
         "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
         "train --config with a non-UTF-8 comment": (2, "c.cfg:1: not UTF-8"),
@@ -845,8 +869,7 @@ class TestFaultMatrix:
         if args[0] in self.EXPENSIVE and not case.endswith("at 3e38"):
             # the out dir is checked first
             monkeypatch.setattr(*self.EXPENSIVE[args[0]], pytest.fail)
-        env = {"S2VC_SEED": case.split("=")[1]} if "S2VC_SEED=" in case else {}
-        res = runner.invoke(main, args, env=env)
+        res = runner.invoke(main, args)
         monkeypatch.undo()
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == code, res.output

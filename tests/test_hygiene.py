@@ -289,6 +289,7 @@ UNREAD_PARAMETERS = {
        for cls in ("Shares", "Helper", "GradTape", "MicrostepWorkers")
        for p in ("exc_type", "exc", "tb")},
     ("train_step", "rng"): "acceptance criterion 05 passes it by position",
+    ("conformer_block", "cfg"): "acceptance criterion 01 passes it by position",
 }
 
 

@@ -364,7 +364,7 @@ class TestArchitecture:
 
     def test_config_fields(self):
         names = {f.name for f in dataclasses.fields(ModelConfig)}
-        assert len(names) == 18
+        assert len(names) == 13
         assert not names & set(model_mod.RETIRED_CONFIG_KEYS)
 
     def test_parameter_counts(self):
@@ -413,9 +413,9 @@ def legacy_checkpoint(path, model, rng):
     cfg = model.config
     arrays = {k: v.copy() for k, v in model.state_arrays().items()}
     pre_norm = [(f"src.{i}.b", f"src.{i}.bn", (1, cfg.d_model))
-                for i in range(cfg.n_source_layers)]
+                for i in range(model_mod.N_SOURCE_LAYERS)]
     pre_norm += [(f"dec.{i}.conv.dw.b", f"dec.{i}.conv.bn", (cfg.d_model,))
-                 for i in range(cfg.n_decoder_conformer)]
+                 for i in range(model_mod.N_DECODER_CONFORMER)]
     for bias, bn, shape in pre_norm:
         b = rng.normal(scale=0.5, size=shape).astype(np.float32)
         arrays[f"param.{bias}"] = b
@@ -423,11 +423,15 @@ def legacy_checkpoint(path, model, rng):
     cancelled = [("attn.0.wq.b", cfg.d_model), ("attn.0.wk.b", cfg.d_model),
                  ("attn.0.bk.b", cfg.attn_bottleneck_dim)]
     cancelled += [(f"dec.{i}.attn.k.b", cfg.d_model)
-                  for i in range(cfg.n_decoder_conformer)]
+                  for i in range(model_mod.N_DECODER_CONFORMER)]
     for name, width in cancelled:
         arrays[f"param.{name}"] = rng.normal(scale=0.5, size=(1, width)).astype(np.float32)
+    # a config written before the keys retired records each at its fixed value
     meta = {"model_config": {**dataclasses.asdict(cfg), "n_attention_blocks": 1,
-                             "sap_strategy": "add", "dropout": 0.0},
+                             "sap_strategy": "add", "dropout": 0.0,
+                             "n_source_layers": 4, "n_target_conv": 3,
+                             "conv_kernel": 5, "n_decoder_conformer": 3,
+                             "conformer_heads": 2},
             "mel_config": dataclasses.asdict(dsp.MelConfig())}
     path.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC, meta, arrays))
 
@@ -462,7 +466,8 @@ class TestLegacyCheckpoint:
 
     @pytest.mark.parametrize("key,value", [("n_attention_blocks", 2),
                                            ("sap_strategy", "concat_project"),
-                                           ("dropout", 0.1)])
+                                           ("dropout", 0.1),
+                                           ("n_decoder_conformer", 4)])
     def test_other_retired_value_rejected(self, key, value, tiny_model, tmp_path):
         path = tmp_path / "legacy.s2vc"
         meta = {"model_config": {**dataclasses.asdict(tiny_model.config), key: value},

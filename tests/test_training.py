@@ -104,11 +104,11 @@ class TestReconstructionLoss:
 
 class TestTrainConfig:
     def test_defaults(self):
-        cfg = TrainConfig()
-        assert cfg.learning_rate == 5e-5
-        assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
-        assert cfg.weight_decay == 0.01
-        assert cfg.clip_grad_norm == 1.0
+        assert TrainConfig().learning_rate == 5e-5
+        # run_training builds its optimizer with AdamW's own moments and decay
+        opt = AdamW({}, lr=5e-5)
+        assert (opt.beta1, opt.beta2, opt.weight_decay) == (0.9, 0.999, 0.01)
+        assert training.CLIP_GRAD_NORM == 1.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(TrainingError):
