@@ -1,8 +1,9 @@
 """How many CPUs a command may use, and the threads and processes that use them.
 
 ``spare_cpus`` is the one rule for how many CPUs are idle: training forks
-one ``Helper`` process per spare CPU, and ``s2vc convert`` starts one
-``Shares`` thread.  A ``Shares`` runs the contiguous row shares of one
+one helper process per spare CPU, ``s2vc eval`` forks one for its speaker
+embedder when a CPU is spare, and ``s2vc convert`` starts one ``Shares``
+thread per spare CPU.  A ``Shares`` runs the contiguous row shares of one
 piece of NumPy work at once, on the calling thread and its own threads;
 NumPy and BLAS release the interpreter lock, so the shares overlap.  Every
 split in the package gives the same bits as the unsplit work: the callers
@@ -14,9 +15,11 @@ the block ends.  Elsewhere, and inside every share, ``active()`` is
 ``SERIAL``, the set with no threads, under which every share is the whole of
 the work, run inline.
 
-A ``Helper`` is the package's one child process: ``s2vc eval`` trains its
-speaker embedder in one, and training computes microsteps in them.
-"""
+A ``Helpers`` set owns every child process the package starts, and its
+``run`` is ``Shares.run``'s contract for processes: the caller's own work
+and one task per child at once, every result in list order.  Training
+computes microsteps in one; ``s2vc eval`` trains its speaker embedder in
+another, or after its conversions when no CPU is spare."""
 
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import threading
 
 from . import Error
 
-__all__ = ["spare_cpus", "Shares", "SERIAL", "active", "Helper", "HelperExited"]
+__all__ = ["spare_cpus", "Shares", "SERIAL", "active", "Helpers", "HelperExited"]
 
 
 def spare_cpus():
@@ -40,9 +43,14 @@ def spare_cpus():
     Without Linux's affinity mask and ``/proc/self/task`` there are none.
     """
     try:
-        return max(0, len(os.sched_getaffinity(0)) - len(os.listdir("/proc/self/task")))
+        return max(0, len(os.sched_getaffinity(0)) - _threads())
     except (AttributeError, OSError):
         return 0
+
+
+def _threads():
+    """The number of threads of this process (Linux only)."""
+    return len(os.listdir("/proc/self/task"))
 
 
 def _outcome(task):
@@ -51,6 +59,15 @@ def _outcome(task):
         return True, task()
     except BaseException as e:  # Shares.run raises it once every share is done
         return False, e
+
+
+def _values(outcomes):
+    """The values of ``_outcome`` pairs, or the exception of the first, in
+    list order, that holds one."""
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 class Shares:
@@ -90,12 +107,7 @@ class Shares:
                 outcomes = self._split(tasks)
         finally:
             _active.shares = previous
-        results = []
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+        return _values(outcomes)
 
     def _split(self, tasks):
         """The outcomes of ``tasks``: task 0 on this thread, and each other
@@ -168,8 +180,9 @@ class HelperExited(Error):
 
 
 def _serve_tasks(fn, cpu, task_fd, reply_fd):
-    """A helper's loop: call ``fn`` on each task and write back its value,
-    or the exception it raised.  The end of the task pipe ends the loop."""
+    """A helper's loop, on ``cpu`` alone when one is given: call ``fn`` on
+    each task and write back its ``(True, value)``, or ``(False,
+    exception)``.  The end of the task pipe ends the loop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
@@ -181,7 +194,7 @@ def _serve_tasks(fn, cpu, task_fd, reply_fd):
                 return
             try:
                 reply = (True, fn(*args))
-            except Exception as e:   # raised again by Helper.recv
+            except Exception as e:   # raised again by Helpers.run
                 reply = (False, e)
             del args   # the task's arrays are freed before the reply is written
             pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
@@ -189,25 +202,15 @@ def _serve_tasks(fn, cpu, task_fd, reply_fd):
             del reply   # and the reply is not kept while the child waits
 
 
-class Helper:
-    """A child process, forked once, that calls ``fn`` on each task it is sent.
+class _Helper:
+    """One forked child running ``_serve_tasks``, and the two pipes to it.
 
-    ``fn`` and everything it refers to are inherited through the fork, not
-    pickled; a task's arguments and ``fn``'s value each cross a pipe as one
-    pickle.  ``recv`` returns the values in the order the tasks were sent
-    and raises an exception ``fn`` raised as itself.  A child that has died
-    raises ``HelperExited`` naming its pid and exit status.  The child runs
-    on ``cpu`` alone, when one is given, and ignores SIGINT.  ``close``, or
-    the end of a ``with`` block, kills and reaps it.
-
-    The child writes each reply before it reads the next task: a large task
-    sent while a reply larger than a pipe buffer is unread blocks both
-    processes, so send one only when every earlier reply is received.  Make
-    a helper only in a process without other threads: a lock another
-    thread holds at the fork stays held in the child.
+    ``send`` and ``recv`` give the ``(ok, value)`` outcome of a task; a
+    child that has died gives ``(False, HelperExited)`` naming its pid and
+    exit status.
     """
 
-    def __init__(self, fn, cpu=None):
+    def __init__(self, fn, cpu):
         task_r, task_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -231,23 +234,19 @@ class Helper:
         self._replies = open(reply_r, "rb")
         self._exit_status = None
 
-    def send(self, *args):
-        """Queue the task ``fn(*args)``."""
+    def send(self, args):
         try:
             pickle.dump(args, self._tasks, pickle.HIGHEST_PROTOCOL)
             self._tasks.flush()
         except BrokenPipeError:
-            raise self._exited() from None
+            return False, self._exited()
+        return True, None
 
     def recv(self):
-        """The value of the oldest task not yet received, or its exception."""
         try:
-            ok, value = pickle.load(self._replies)
+            return pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):
-            raise self._exited() from None
-        if not ok:
-            raise value
-        return value
+            return False, self._exited()
 
     def _exited(self):
         if self._exit_status is None:
@@ -265,6 +264,79 @@ class Helper:
         for pipe in (self._tasks, self._replies):
             with contextlib.suppress(OSError):   # a task the child never read
                 pipe.close()
+
+
+class Helpers:
+    """``n`` child processes, forked once, here, that call ``fn`` on the
+    tasks ``run`` sends them.
+
+    ``fn`` and everything it refers to are inherited through the fork, not
+    pickled; a task's arguments and ``fn``'s value each cross a pipe as one
+    pickle.  The children ignore SIGINT.  While there are children of a
+    caller that runs no other thread, the caller and each child are pinned
+    to one CPU each of the caller's affinity mask, which ``close``
+    restores: left to the scheduler, a child woken by the caller's pipe
+    write ran on the caller's CPU for the first second or so, at half speed
+    for both.  A caller with other threads, such as a BLAS pool, is not
+    pinned: the pool, started again after the fork, would share the one
+    CPU, and OpenBLAS's two threads on one CPU of a 2-core host trained the
+    eval embedder in 24 s instead of 0.4 s.  ``count`` is the number of
+    processes that share a run's work, the caller included.
+
+    ``close``, or the end of a ``with`` block, kills and reaps the
+    children; a closed set runs every task on the caller.  Make a set only
+    in a process without other threads: a lock another thread holds at the
+    fork stays held in the child.
+    """
+
+    def __init__(self, fn, n):
+        self._fn = fn
+        self._helpers = []
+        self._mask = os.sched_getaffinity(0) if n and _threads() == 1 else set()
+        mask = sorted(self._mask)
+        try:
+            for i in range(n):
+                cpu = mask[(1 + i) % len(mask)] if mask else None
+                self._helpers.append(_Helper(fn, cpu))
+        except BaseException:
+            self.close()
+            raise
+        if mask:
+            os.sched_setaffinity(0, {mask[0]})
+        self.count = 1 + n
+
+    def run(self, own, tasks):
+        """``(own(), [fn(*args) for args in tasks])``.
+
+        Task ``i`` is sent to child ``i`` before ``own`` runs on the
+        caller; a task beyond the last child runs on the caller after
+        ``own``.  An exception ``own`` raises closes the set, so the
+        children are killed, not waited for.  Otherwise every reply is
+        read, and the exception of the first task, in list order, that
+        raised one is raised as itself, so the children serve the next
+        run.  A child that died raises ``HelperExited``.
+        """
+        sent = self._helpers[:len(tasks)]
+        try:
+            outcomes = [h.send(args) for h, args in zip(sent, tasks)]
+            mine = own()
+            outcomes = [h.recv() if ok else (ok, e)
+                        for h, (ok, e) in zip(sent, outcomes)]
+        except BaseException:
+            self.close()
+            raise
+        for args in tasks[len(sent):]:
+            outcomes.append(_outcome(functools.partial(self._fn, *args)))
+        return mine, _values(outcomes)
+
+    def close(self):
+        """Kill and reap every child, and give the caller back its mask."""
+        if self._helpers and self._mask:
+            os.sched_setaffinity(0, self._mask)
+        for h in self._helpers:
+            h.close()
+        self._helpers = []
+        self.count = 1
 
     def __enter__(self):
         return self

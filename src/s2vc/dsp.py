@@ -83,6 +83,12 @@ class MelConfig:
 
     def __post_init__(self):
         check_field_types(self, DspError)
+        for f in ("sample_rate", "n_fft", "win_length", "hop_length", "n_mels",
+                  "log_floor"):
+            if getattr(self, f) <= 0:
+                raise DspError(f"{f} must be positive")
+        if not 0 <= self.fmin < self.fmax:
+            raise DspError("require 0 <= fmin < fmax")
         if not (self.hop_length <= self.win_length <= self.n_fft):
             raise DspError("require hop_length <= win_length <= n_fft")
         if self.fmax > self.sample_rate / 2:

@@ -184,25 +184,25 @@ def run_eval(model, manifest, scenario, n_pairs, seed, out_dir, embedder=None,
     both of its forwards, and each distinct source is self-reconstructed
     once.  Pairs run grouped by target speaker, so target encodings are
     cached for one speaker at a time; results keep the sampled pair order.
-    Without ``embedder``, a ``cpus.Helper`` trains it while the pairs
-    convert (docs/eval.md).
+    Without ``embedder``, a ``cpus.Helpers`` child trains it while the
+    pairs convert, or this process does afterwards when no CPU is spare
+    (docs/eval.md).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = sample_pairs(manifest, n=n_pairs, scenario=scenario, seed=seed,
                          train_speakers=train_speakers)
     mels = load_mels(manifest)
+    tasks = [()] if embedder is None else []
+    with cpus.Helpers(lambda: train_speaker_embedder(list(mels.values()), seed=seed),
+                      min(len(tasks), cpus.spare_cpus())) as helpers:
+        try:
+            (converted, recon_by_src), trained = helpers.run(
+                lambda: _convert_pairs(model, pairs, mels), tasks)
+        except cpus.HelperExited as e:
+            raise EvalError(f"speaker embedder {e}") from None
     if embedder is None:
-        with cpus.Helper(lambda: train_speaker_embedder(list(mels.values()),
-                                                        seed=seed)) as helper:
-            helper.send()
-            converted, recon_by_src = _convert_pairs(model, pairs, mels)
-            try:
-                embedder = helper.recv()
-            except cpus.HelperExited as e:
-                raise EvalError(f"speaker embedder {e}") from None
-    else:
-        converted, recon_by_src = _convert_pairs(model, pairs, mels)
+        (embedder,) = trained
 
     embs, by_spk = {}, {}
     for utt, (frames, spk) in mels.items():

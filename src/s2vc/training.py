@@ -6,17 +6,15 @@ target.  Variable-length utterances are handled by gradient accumulation
 
 A microstep is a pure function of the parameters and its utterance, so a
 step shares its microsteps out between the trainer and helper processes
-(``cpus.Helper``), one per spare CPU, and folds every result in batch
+(``cpus.Helpers``), one per spare CPU, and folds every result in batch
 order: the parameters, buffers and optimizer state after a step are
 bit-identical whichever process computed each microstep.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
-import os
 import time
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
@@ -32,7 +30,6 @@ from .tensor import AdamW, GradTape, Tensor, clip_global_norm
 __all__ = [
     "TrainConfig",
     "TrainingError",
-    "MicrostepWorkers",
     "reconstruction_loss",
     "microstep",
     "fold_microstep",
@@ -131,131 +128,47 @@ def train_step(model, batch, optimizer, rng, workers=None):
     """One optimization step over a list of BatchItems.
 
     Returns the averaged loss value.  Each utterance is one ``microstep``.
-    ``workers`` (a MicrostepWorkers) splits the batch into contiguous
-    shares, the first computed here and the later ones by its helpers, and
-    every result is folded in batch order.  The summed gradients are
-    clipped to global norm ``CLIP_GRAD_NORM``, then applied with AdamW.
-    ``rng`` is unused since the model has no dropout; it stays for callers.
+    ``workers`` (the ``cpus.Helpers`` that ``run_training`` opens) splits
+    the batch into contiguous shares, the first computed and folded here
+    and each later one by a helper, folded afterwards in batch order.  The
+    summed gradients are clipped to global norm ``CLIP_GRAD_NORM``, then
+    applied with AdamW.  ``rng`` is unused since the model has no dropout;
+    it stays for callers.
     """
     if not batch:
         raise TrainingError("empty batch")
     if workers is None:
-        workers = MicrostepWorkers(model.config, 0)
+        workers = cpus.Helpers(functools.partial(_microsteps, model.config), 0)
     optimizer.zero_grad()
     scale = 1.0 / len(batch)
+    n_parts = min(workers.count, len(batch))
+    bounds = [len(batch) * i // n_parts for i in range(n_parts + 1)]
+    state = model.state_arrays() if n_parts > 1 else None
     total = 0.0
-    try:
-        own = workers.dispatch(model, batch, scale)
-        for item in batch[:own]:
+
+    def own():
+        nonlocal total
+        for item in batch[:bounds[1]]:
             total += fold_microstep(model, microstep(model, item, scale)) * len(batch)
-    except BaseException:
-        workers.discard()
-        raise
-    for result in workers.results():
-        total += fold_microstep(model, result) * len(batch)
+
+    try:
+        _, shares = workers.run(own, [(state, batch[lo:hi], scale)
+                                      for lo, hi in zip(bounds[1:], bounds[2:])])
+    except cpus.HelperExited as e:
+        raise TrainingError(f"microstep {e}") from None
+    for share in shares:
+        for result in share:
+            total += fold_microstep(model, result) * len(batch)
     clip_global_norm(model.params, CLIP_GRAD_NORM)
     optimizer.step()
     return total / len(batch)
 
-
-# ---------------------------------------------------------------------------
-# microstep helpers
 
 def _microsteps(config, state, items, scale):
     """``microstep`` of each of ``items`` on a model built around the
     parameter and buffer arrays ``state``; a helper's task."""
     model = S2VCModel.from_state_arrays(config, state)
     return [microstep(model, item, scale) for item in items]
-
-
-def _as_training_error(fn, *args):
-    try:
-        return fn(*args)
-    except cpus.HelperExited as e:
-        raise TrainingError(f"microstep {e}") from None
-
-
-class MicrostepWorkers:
-    """Helper processes that compute microsteps for the trainer.
-
-    Each helper is forked once, here, and is sent the current parameter and
-    buffer arrays and a contiguous share of each batch; it builds a
-    shape-only model around the arrays.  A helper that dies raises
-    TrainingError with its exit status.  Use as a context manager, or call
-    ``close``.
-
-    While there are helpers, the calling thread and each helper are pinned
-    to one CPU each of the caller's affinity mask, which ``close`` restores:
-    left to the scheduler, a helper woken by the trainer's pipe write ran on
-    the trainer's CPU for the first second or so, at half speed for both.
-    """
-
-    def __init__(self, config, n_workers):
-        self._mask = os.sched_getaffinity(0)
-        mask = sorted(self._mask)
-        task = functools.partial(_microsteps, config)
-        self._helpers = []
-        self._sent = []   # the helpers with a share to answer, in batch order
-        try:
-            for i in range(n_workers):
-                self._helpers.append(cpus.Helper(task, mask[(1 + i) % len(mask)]))
-        except BaseException:
-            self.close()
-            raise
-        if self._helpers:
-            os.sched_setaffinity(0, {mask[0]})
-
-    def dispatch(self, model, items, scale):
-        """Send the later shares of ``items`` to the helpers; returns the
-        length of the first share, which the trainer computes."""
-        n_parts = min(1 + len(self._helpers), len(items))
-        bounds = [len(items) * i // n_parts for i in range(n_parts + 1)]
-        if n_parts > 1:
-            state = model.state_arrays()
-            for h, lo, hi in zip(self._helpers, bounds[1:-1], bounds[2:]):
-                _as_training_error(h.send, state, items[lo:hi], scale)
-                self._sent.append(h)
-        return bounds[1]
-
-    def results(self):
-        """Yield the results of the shares ``dispatch`` sent, in batch order.
-
-        A share's exception is raised once every share's reply is read.
-        """
-        sent, self._sent = self._sent, []
-        error = None
-        for h in sent:
-            try:
-                share = _as_training_error(h.recv)
-            except Exception as e:
-                error = error or e
-                continue
-            if error is None:
-                yield from share
-        if error is not None:
-            raise error
-
-    def discard(self):
-        """Read and drop the replies to the shares ``dispatch`` sent."""
-        sent, self._sent = self._sent, []
-        for h in sent:
-            with contextlib.suppress(Exception):
-                h.recv()
-
-    def close(self):
-        """Kill and reap every helper."""
-        if self._helpers:
-            os.sched_setaffinity(0, self._mask)
-        for h in self._helpers:
-            h.close()
-        self._helpers = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +270,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
     entries = manifest.entries
     n_workers = min(cpus.spare_cpus(), cfg.batch_size - 1) if step < cfg.max_steps else 0
     with open(log_path, "a", encoding="utf-8") as log, \
-            MicrostepWorkers(model.config, n_workers) as workers:
+            cpus.Helpers(functools.partial(_microsteps, model.config), n_workers) as workers:
         log.truncate(keep_bytes)
         while step < cfg.max_steps:
             idx = rng.integers(0, len(entries), size=cfg.batch_size)

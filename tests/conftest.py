@@ -88,6 +88,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """One CPU is spare, whatever the host's BLAS threads: training and
+    ``s2vc eval`` each fork one helper."""
+    from s2vc import cpus
+
+    monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
+
+
 @pytest.fixture(scope="session")
 def corpus_manifest(tmp_path_factory):
     """Shared toy corpus: 2 speakers, 6 utterances each, 1 s at 16 kHz."""

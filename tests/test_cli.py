@@ -218,26 +218,28 @@ class TestFeats:
 
 
 class TestTrain:
+    @pytest.mark.usefixtures("one_worker")
     def test_worker_death_one_error_line(self, runner, corpus_manifest, tmp_path,
                                          monkeypatch):
-        monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
-        helpers = []
+        children = []
+        real_fork = os.fork
 
-        class RecordedHelper(cpus.Helper):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                helpers.append(self)
+        def recorded_fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
 
         real_step = training.train_step
 
         def kill_worker(*args, **kwargs):
-            (helper,) = helpers
-            os.kill(helper.pid, signal.SIGKILL)
+            (pid,) = children
+            os.kill(pid, signal.SIGKILL)
             # wait for the death but leave the child for the trainer to reap
-            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
             return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(cpus, "Helper", RecordedHelper)
+        monkeypatch.setattr(os, "fork", recorded_fork)
         monkeypatch.setattr(training, "train_step", kill_worker)
         cfg = write_tiny_config(tmp_path / "c.cfg")
         cfg.write_text(cfg.read_text().replace("batch_size = 1", "batch_size = 2"))
@@ -696,13 +698,15 @@ class TestAblate:
         assert_one_error_line(res, "payload length mismatch")
 
 
-# mistyped checkpoint metadata: case suffix -> (section, key, value), where a
-# key of None replaces the whole section
+# mistyped or out-of-range checkpoint metadata: case suffix -> (section,
+# key, value), where a key of None replaces the whole section
 MISTYPED_META = {
     "model_config a list": ("model_config", None, ["abc"]),
     "d_model 64.0": ("model_config", "d_model", 64.0),
     "use_sap \"no\"": ("model_config", "use_sap", "no"),
     "n_fft 512.5": ("mel_config", "n_fft", 512.5),
+    "hop_length 0": ("mel_config", "hop_length", 0),
+    "n_mels 0": ("mel_config", "n_mels", 0),
 }
 
 
@@ -711,7 +715,7 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     by_spk = Manifest.load(corpus_manifest).speakers()
     convert_inputs = [by_spk["spkA"][0].features["mel"],
                       *[e.features["mel"] for e in by_spk["spkB"][:5]]]
-    if " checkpoint with " in case:   # CRC-valid, with a mistyped value
+    if " checkpoint with " in case:   # CRC-valid, with a bad value
         command, _, what = case.partition(" checkpoint with ")
         section, key, value = MISTYPED_META[what]
         meta, arrays = model._read_blob_file(checkpoint, model.CHECKPOINT_MAGIC)
@@ -845,6 +849,8 @@ class TestFaultMatrix:
         "eval checkpoint with use_sap \"no\"": (1, "use_sap = no (expected bool)"),
         "eval checkpoint with n_fft 512.5": (1, "n_fft = 512.5 (expected int)"),
         "convert checkpoint with n_fft 512.5": (1, "n_fft = 512.5 (expected int)"),
+        "convert checkpoint with hop_length 0": (1, "hop_length must be positive"),
+        "convert checkpoint with n_mels 0": (1, "n_mels must be positive"),
         "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
         "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
         "train --config with a non-UTF-8 comment": (2, "c.cfg:1: not UTF-8"),
@@ -866,6 +872,8 @@ class TestFaultMatrix:
         args = fault_args(case, tmp_path, corpus_manifest, tiny_checkpoint)
         if code == EXIT_USAGE:
             monkeypatch.setattr(model, "load_checkpoint", pytest.fail)
+        if args[0] == "eval":   # eval forks its embedder's child, as EXPENSIVE expects
+            monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
         if args[0] in self.EXPENSIVE and not case.endswith("at 3e38"):
             # the out dir is checked first
             monkeypatch.setattr(*self.EXPENSIVE[args[0]], pytest.fail)

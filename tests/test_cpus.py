@@ -1,6 +1,8 @@
 import os
+import re
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -203,15 +205,17 @@ class TestSplitProducts:
 
 
 class TestHelper:
-    """A forked child that answers tasks in order; whatever happens, it is
-    reaped once the helper is closed."""
+    """Forked children that compute ``run``'s tasks beside the caller's own
+    work; whatever happens, they are reaped and the caller's affinity mask
+    is back once the set is closed."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
-        """Fails a test that hangs on its helper instead of hanging the suite."""
+        """Fails a test that hangs on its helpers instead of hanging the suite."""
         def timeout(signum, frame):
             raise TimeoutError("helper test took over 60 s")
 
+        mask = os.sched_getaffinity(0)
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(60)
         try:
@@ -221,49 +225,80 @@ class TestHelper:
             signal.signal(signal.SIGALRM, previous)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == mask
 
     def test_replies_in_order_from_another_process(self):
+        """Task ``k`` runs in child ``k``, or here beyond the last child."""
         big = np.arange(1 << 18, dtype=np.float32)   # more than a pipe buffer
-        with cpus.Helper(lambda a, k: (os.getpid(), a * k, big.sum())) as helper:
-            for k in range(3):
-                helper.send(big, k)
-                pid, scaled, total = helper.recv()
-                np.testing.assert_array_equal(scaled, big * k)
-                assert total == big.sum() and pid == helper.pid != os.getpid()
-            for k in range(3):   # small replies may queue up
-                helper.send(big[:4], k)
-            assert [helper.recv()[1][1] for _ in range(3)] == [0, 1, 2]
+        for n in (0, 1, 2):
+            with cpus.Helpers(lambda a, k: (os.getpid(), a * k), n) as helpers:
+                for n_tasks in range(4):
+                    mine, done = helpers.run(lambda: os.getpid(),
+                                             [(big, k) for k in range(n_tasks)])
+                    assert mine == os.getpid() and len(done) == n_tasks
+                    for k, (pid, scaled) in enumerate(done):
+                        np.testing.assert_array_equal(scaled, big * k)
+                        assert (pid != os.getpid()) == (k < n), (n, n_tasks, k)
+                    assert len({pid for pid, _ in done[:n]}) == min(n, n_tasks)
 
-    def test_exception_raised_as_itself_and_helper_serves_on(self):
+    def test_close_kills_a_busy_child(self):
+        """An error in the caller's own work closes the set at once."""
+        helpers = cpus.Helpers(lambda t: time.sleep(t) or os.getpid(), 1)
+
+        def fail():
+            raise ValueError("own failed")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="own failed"):
+            helpers.run(fail, [(60,)])
+        assert time.monotonic() - start < 30   # killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert helpers.count == 1   # closed: every later task runs here
+        assert helpers.run(lambda: 0, [(0,)]) == (0, [os.getpid()])
+        helpers.close()
+
+    def test_exception_raised_as_itself_and_helper_serves_on(self, tmp_path):
+        """The first task error in list order, once every reply is read."""
+        ran = tmp_path / "ran"
+
         def fn(x):
+            with open(ran, "a", encoding="utf-8") as fh:
+                fh.write(f"{x}\n")
             if x < 0:
                 raise ValueError(f"negative {x} in {os.getpid()}")
             return x + 1
 
-        with cpus.Helper(fn) as helper:
-            helper.send(-1)
-            helper.send(1)
-            with pytest.raises(ValueError, match=f"negative -1 in {helper.pid}"):
-                helper.recv()
-            assert helper.recv() == 2
+        with cpus.Helpers(fn, 2) as helpers:
+            with pytest.raises(ValueError, match="negative -1 in") as info:
+                helpers.run(lambda: None, [(1,), (-1,), (-2,)])
+            assert str(info.value) != f"negative -1 in {os.getpid()}"
+            assert sorted(ran.read_text().split()) == ["-1", "-2", "1"]
+            assert helpers.run(lambda: 0, [(5,), (6,)]) == (0, [6, 7])
 
     def test_dead_child_names_pid_and_status(self):
-        with cpus.Helper(lambda: os._exit(3)) as helper:
-            helper.send()
-            message = f"helper process {helper.pid} exited with status 3"
-            with pytest.raises(cpus.HelperExited, match=message):
-                helper.recv()
+        with cpus.Helpers(lambda code: os._exit(code), 1) as helpers:
+            message = r"helper process (\d+) exited with status 3"
+            with pytest.raises(cpus.HelperExited, match=message) as info:
+                helpers.run(lambda: None, [(3,)])
+            assert int(re.search(message, str(info.value))[1]) != os.getpid()
             with pytest.raises(cpus.HelperExited, match=message):   # and stays dead
-                helper.send()
+                helpers.run(lambda: None, [(3,)])
 
-    def test_close_kills_a_busy_child(self):
-        helper = cpus.Helper(lambda: threading.Event().wait())
-        helper.send()
-        helper.close()
-        helper.close()
+    def test_pinned_to_its_cpu(self, monkeypatch):
+        """The caller and each child run on one CPU each while the set is open."""
+        monkeypatch.setattr(cpus, "_threads", lambda: 1)   # as at one BLAS thread
+        mask = sorted(os.sched_getaffinity(0))
+        with cpus.Helpers(lambda: os.sched_getaffinity(0), 2) as helpers:
+            mine, theirs = helpers.run(lambda: os.sched_getaffinity(0), [(), ()])
+            helpers.close()
+            helpers.close()
+        assert mine == {mask[0]}
+        assert theirs == [{mask[1 % len(mask)]}, {mask[2 % len(mask)]}]
 
-    def test_pinned_to_its_cpu(self):
-        cpu = max(os.sched_getaffinity(0))
-        with cpus.Helper(lambda: os.sched_getaffinity(0), cpu) as helper:
-            helper.send()
-            assert helper.recv() == {cpu}
+    def test_caller_with_other_threads_not_pinned(self, monkeypatch):
+        """A BLAS pool started again after the fork would share one CPU."""
+        monkeypatch.setattr(cpus, "_threads", lambda: 2)
+        mask = os.sched_getaffinity(0)
+        with cpus.Helpers(lambda: os.sched_getaffinity(0), 1) as helpers:
+            assert helpers.run(lambda: os.sched_getaffinity(0), [()]) == (mask, [mask])

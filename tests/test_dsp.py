@@ -273,6 +273,30 @@ class TestResample:
             resample(AudioBuffer(np.zeros(480), 44100.5), 16000)
 
 
+class TestMelConfig:
+    @pytest.mark.parametrize("field", ["sample_rate", "n_fft", "win_length",
+                                       "hop_length", "n_mels", "log_floor"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_must_be_positive(self, field, value):
+        kind = type(getattr(MelConfig(), field))
+        with pytest.raises(DspError, match=f"{field} must be positive"):
+            MelConfig(**{field: kind(value)})
+
+    def test_zero_sizes_together_rejected(self):
+        with pytest.raises(DspError, match="must be positive"):
+            MelConfig(n_fft=0, win_length=0, hop_length=0)
+
+    @pytest.mark.parametrize("fmin", [-5.0, 8000.0, 9000.0])
+    def test_fmin_within_zero_and_fmax(self, fmin):
+        with pytest.raises(DspError, match="0 <= fmin < fmax"):
+            MelConfig(fmin=fmin)
+
+    def test_edges_accepted(self):
+        cfg = MelConfig(n_fft=1, win_length=1, hop_length=1, n_mels=1,
+                        fmin=0.0, fmax=1.0, log_floor=1e-30)
+        assert (cfg.hop_length, cfg.n_mels) == (1, 1)
+
+
 class TestLogMel:
     def test_silence_hits_log_floor(self):
         cfg = MelConfig()

@@ -7,7 +7,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from s2vc import evaluate
+from s2vc import cpus, evaluate
 from s2vc.evaluate import (
     EvalError,
     SpeakerEmbedder,
@@ -417,10 +417,10 @@ class TestRunEval:
         assert calls["target_encode"] <= per_group + sources
 
 
-@pytest.mark.usefixtures("forks_within_60s")
+@pytest.mark.usefixtures("forks_within_60s", "one_worker")
 class TestEmbedderChild:
-    """run_eval trains the embedder in a forked child; whatever happens, the
-    child is gone when run_eval returns or raises."""
+    """With a spare CPU, run_eval trains the embedder in a forked child;
+    whatever happens, the child is gone when run_eval returns or raises."""
 
     @pytest.fixture
     def run(self, four_speaker_manifest, tiny_model, tmp_path):
@@ -465,6 +465,33 @@ class TestEmbedderChild:
         embedder = train_speaker_embedder(mels, steps=5, seed=0)
         monkeypatch.setattr(os, "fork", pytest.fail)
         assert run(embedder=embedder)["n_pairs"] == 4
+
+    def test_no_spare_cpu_forks_nothing(self, run, tmp_path, monkeypatch):
+        """Without a spare CPU the embedder trains here, after the
+        conversions, and the report keeps its bytes."""
+        calls = []
+
+        def recorded(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(os, "fork")
+        run()
+        assert calls == ["fork"]
+        reports = [(tmp_path / name).read_bytes() for name in ("report.json", "report.txt")]
+        calls.clear()
+        recorded(evaluate, "_convert_pairs")
+        recorded(evaluate, "train_speaker_embedder")
+        monkeypatch.setattr(cpus, "spare_cpus", lambda: 0)
+        monkeypatch.setattr(os, "fork", pytest.fail)
+        run()
+        assert calls == ["_convert_pairs", "train_speaker_embedder"]
+        assert [(tmp_path / name).read_bytes()
+                for name in ("report.json", "report.txt")] == reports
 
 
 class TestAttend:

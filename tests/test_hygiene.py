@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, only ``cpus`` makes child processes
-and threads, no function is handed a share set or has a parameter it
-never reads, every exception derives from ``s2vc.Error`` and reaches the
-user through the one CLI boundary, and every function the traced benchmark
-wraps still exists and runs on the main thread only.
+and threads and talks to its children, no function is handed a share set
+or has a parameter it never reads, every exception derives from
+``s2vc.Error`` and reaches the user through the one CLI boundary, and
+every function the traced benchmark wraps still exists and runs on the
+main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -138,7 +139,7 @@ def test_process_checker_sees_forks_and_imports():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_cpus_forks(module):
-    """``cpus.Helper`` owns every child process: no other module forks, and
+    """``cpus.Helpers`` owns every child process: no other module forks, and
     none uses ``multiprocessing``."""
     found = process_starts((PACKAGE / module).read_text(encoding="utf-8"))
     if module == "cpus.py":
@@ -146,6 +147,45 @@ def test_only_cpus_forks(module):
     else:
         assert found == []
 
+
+
+HELPER_CLASSES = ("Helper", "_Helper")
+
+
+def pipe_uses(source):
+    """Sorted (line, what) of every ``send`` or ``recv`` attribute, and every
+    name, attribute or import of one of ``HELPER_CLASSES``, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("send", "recv"):
+            found.append((node.lineno, node.attr))
+        names = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        found += [(node.lineno, name) for name in names if name in HELPER_CLASSES]
+    return sorted(found)
+
+
+def test_pipe_checker_sees_calls_and_names():
+    source = ("from s2vc.cpus import Helper, Helpers\n"
+              "h = cpus.Helper(f)\n"
+              "h.send(1, 2)\n"
+              "receive = h.recv\n"
+              "helpers = Helpers(f, 1)\n"
+              "helpers.run(lambda: 0, [()])\n"
+              "'send' and recv and _Helper and HelperExited\n")
+    assert pipe_uses(source) == [(1, "Helper"), (2, "Helper"), (3, "send"),
+                                 (4, "recv"), (7, "_Helper")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_cpus_uses_pipes(module):
+    """``cpus.Helpers.run`` is the one way to a child process: no other
+    module sends a task, receives a reply or names a single helper."""
+    found = pipe_uses((PACKAGE / module).read_text(encoding="utf-8"))
+    if module != "cpus.py":
+        assert found == []
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
@@ -286,7 +326,7 @@ def test_unused_parameter_checker_sees_every_kind():
 # each parameter the package keeps without reading it, and why
 UNREAD_PARAMETERS = {
     **{(f"{cls}.__exit__", p): "the context-manager protocol"
-       for cls in ("Shares", "Helper", "GradTape", "MicrostepWorkers")
+       for cls in ("Shares", "Helpers", "GradTape")
        for p in ("exc_type", "exc", "tb")},
     ("train_step", "rng"): "acceptance criterion 05 passes it by position",
     ("conformer_block", "cfg"): "acceptance criterion 01 passes it by position",

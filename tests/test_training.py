@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ from s2vc.tensor import AdamW, ShapeError, Tensor
 from s2vc.training import (
     ABLATION_ROWS,
     BatchItem,
-    MicrostepWorkers,
     TrainConfig,
     TrainingError,
     ablation_suite,
@@ -65,15 +65,14 @@ def varied_batch(manifest_path, n):
     return batch
 
 
+def microstep_helpers(model_cfg, n):
+    """The helpers ``run_training`` opens for ``model_cfg``."""
+    return cpus.Helpers(functools.partial(training._microsteps, model_cfg), n)
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def one_worker(monkeypatch):
-    """run_training starts one helper, whatever the host's BLAS threads."""
-    monkeypatch.setattr(cpus, "spare_cpus", lambda: 1)
 
 
 def assert_checkpoints_equal(path_a, path_b):
@@ -169,7 +168,7 @@ class TestSplitInvariance:
         # patched before the helpers fork, so that they inherit it
         monkeypatch.setattr(training, "microstep", logged_microstep)
         cfg = tiny_model_config()
-        with MicrostepWorkers(cfg, n_workers) as workers:
+        with microstep_helpers(cfg, n_workers) as workers:
             for size in (1, 2, 3, 8):
                 batch = varied_batch(corpus_manifest, size)
                 runs = []
@@ -199,7 +198,7 @@ class TestSplitInvariance:
         batch = varied_batch(corpus_manifest, 2)
         batch[1].logmel = np.full_like(batch[1].logmel, np.inf)
         model = S2VCModel(cfg, seed=0)
-        with MicrostepWorkers(cfg, 1) as workers:
+        with microstep_helpers(cfg, 1) as workers:
             with pytest.raises(TrainingError, match=batch[1].utterance_id):
                 train_step(model, batch, AdamW(model.params),
                            np.random.default_rng(0), workers=workers)
@@ -208,6 +207,22 @@ class TestSplitInvariance:
             assert np.isfinite(train_step(model, batch, AdamW(model.params),
                                           np.random.default_rng(0), workers=workers))
         assert_no_child_process()
+
+    def test_error_in_trainer_share_kills_helpers(self, corpus_manifest):
+        """The trainer's error closes the set; later steps run in one process."""
+        cfg = tiny_model_config()
+        batch = varied_batch(corpus_manifest, 2)
+        batch[0].logmel = np.full_like(batch[0].logmel, np.inf)
+        model = S2VCModel(cfg, seed=0)
+        with microstep_helpers(cfg, 1) as workers:
+            with pytest.raises(TrainingError, match=batch[0].utterance_id):
+                train_step(model, batch, AdamW(model.params),
+                           np.random.default_rng(0), workers=workers)
+            assert_no_child_process()
+            assert workers.count == 1
+            batch[0].logmel = batch[0].source.frames
+            assert np.isfinite(train_step(model, batch, AdamW(model.params),
+                                          np.random.default_rng(0), workers=workers))
 
 
 class TestRunTraining:
