@@ -16,8 +16,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 ``click.UsageError`` (``ConfigError`` among them) exits 2, and an
 ``s2vc.Error`` or ``OSError`` exits 1, each as one ``error:`` line on stderr.
 
-The model, training and evaluation modules are imported by the commands that
-use them, so ``feats`` never loads the tensor library.
+A command parses its options, checks its inputs and prints; the work is a
+library call such as ``evaluate.run_ablation``.  The model, training and
+evaluation modules are imported by the commands that use them, so ``feats``
+never loads the tensor library.
 """
 
 from __future__ import annotations
@@ -336,50 +338,18 @@ def cmd_probe(checkpoint, manifest_path, site, seed, out_json):
 def cmd_ablate(config_file, manifest, out_dir, max_steps, n_pairs, seed):
     """Train and evaluate all 7 ablation configurations on shared seeds/pairs.
 
-    On rerun, a row is skipped when its final checkpoint was trained with
-    this run's configuration and its report.json has this run's pair count
-    and seed; any other row is trained and evaluated again, over its files.
-    The manifest is compared by path only, not by its contents.
+    A rerun skips each row whose report.json and final checkpoint match this
+    run's configuration, pair count and seed (the manifest by path only), and
+    trains any other row again over its files (see evaluate.run_ablation).
     """
-    from . import evaluate, model as model_mod, training
+    from . import evaluate
 
-    overrides = {"train.manifest": manifest, "train.out_dir": out_dir,
-                 "train.max_steps": max_steps,
-                 "train.seed": seed}
-    base = resolve_train_config(config_file, overrides)
-    if not Path(manifest).exists():
-        raise click.UsageError(f"manifest not found: {manifest}")
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    man = Manifest.load(manifest)
-    embedder = evaluate.train_speaker_embedder(
-        list(evaluate.load_mels(man).values()), seed=base.seed)
-    rows = []
-    for row, name, run_cfg in training.ablation_suite(base):
-        run_dir = Path(run_cfg.out_dir)
-        report_path = run_dir / "report.json"
-        ckpt = run_dir / "checkpoint_final.s2vc"
-        if report_path.exists() and ckpt.exists():
-            with open(report_path, encoding="utf-8") as fh:
-                prior = json.load(fh)["results"][0]
-            _, _, extra, _ = model_mod.load_checkpoint(ckpt)
-            if ((prior["n_pairs"], prior["seed"]) == (n_pairs, base.seed)
-                    and extra.get("train_config") == asdict(run_cfg)):
-                rows.append({"row": f"({row})", "name": name, **prior})
-                click.echo(f"({row}) {name}: already done, skipping")
-                continue
-        # a retrain that fails must not leave the old report to be reused
-        report_path.unlink(missing_ok=True)
-        click.echo(f"({row}) {name}: training {run_cfg.max_steps} steps")
-        ckpt = training.run_training(run_cfg)
-        mdl, _, _, _ = model_mod.load_checkpoint(ckpt)
-        result = evaluate.run_eval(mdl, man, "s2s", n_pairs, base.seed, run_dir,
-                                   embedder=embedder)
-        rows.append({"row": f"({row})", "name": name, **result})
-    evaluate.render_report(rows, out / "ablation_report.json",
-                           out / "ablation_report.txt")
-    click.echo(f"ablation grid written to {out / 'ablation_report.txt'}")
+    base = resolve_train_config(config_file, {
+        "train.manifest": manifest, "train.out_dir": out_dir,
+        "train.max_steps": max_steps, "train.seed": seed})
+    _require_inputs(("manifest", manifest))
+    evaluate.run_ablation(base, n_pairs, log_fn=click.echo)
+    click.echo(f"ablation grid written to {Path(out_dir) / 'ablation_report.txt'}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Objective evaluation: conversion, speaker verification, and probing.
+"""Objective evaluation: conversion, speaker verification, probing, and the
+ablation grid.
 
 The pretrained verification system the protocol calls for is replaced by a
 small speaker embedder trained on the evaluation corpus itself, so absolute
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import Error, cpus, dsp
+from . import Error, cpus, dsp, training
+from . import model as model_mod
 from . import nn
 from . import tensor as T
-from .features import align_frame_rate
+from .features import Manifest, align_frame_rate
 from .tensor import AdamW, GradTape, Tensor
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "probe_speaker_info",
     "ProbeResult",
     "render_report",
+    "run_ablation",
 ]
 
 
@@ -493,3 +496,62 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.4f}"
     return str(v)
+
+
+# ---------------------------------------------------------------------------
+# the ablation grid
+
+def _prior_result(run_dir, run_cfg, n_pairs):
+    """The result row of ``run_dir``'s report.json when it holds ``n_pairs``
+    pairs of ``run_cfg``'s seed and the final checkpoint's metadata records
+    ``run_cfg`` as its training configuration; else None, also when either
+    file cannot be read.  The checkpoint's arrays are not read."""
+    report, ckpt = run_dir / "report.json", run_dir / "checkpoint_final.s2vc"
+    if not (report.exists() and ckpt.exists()):
+        return None
+    try:
+        with open(report, encoding="utf-8") as fh:
+            prior = json.load(fh)["results"][0]
+        fresh = (prior["n_pairs"], prior["seed"]) == (n_pairs, run_cfg.seed)
+        meta = model_mod.read_checkpoint_meta(ckpt)
+    except (ValueError, LookupError, TypeError, model_mod.CheckpointError):
+        return None   # bad JSON or UTF-8, a missing row or key, a bad header
+    trained = meta.get("extra", {}).get("train_config")
+    return prior if fresh and trained == asdict(run_cfg) else None
+
+
+def run_ablation(base_cfg, n_pairs, log_fn=None):
+    """Train and evaluate the configurations of ``training.ablation_suite``
+    with one speaker embedder and the same ``n_pairs`` pairs; returns the
+    rows, also written to ablation_report.json and .txt in ``base_cfg.out_dir``.
+
+    A row whose ``_prior_result`` holds is reused.  Any other row has its
+    report.json deleted, then is trained and evaluated again over its files.
+    ``log_fn`` receives one line per row: skipped, or trained for how many
+    steps.
+    """
+    def log(line):
+        if log_fn:
+            log_fn(line)
+
+    out = Path(base_cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest.load(base_cfg.manifest)
+    embedder = train_speaker_embedder(list(load_mels(manifest).values()),
+                                      seed=base_cfg.seed)
+    rows = []
+    for row, name, run_cfg in training.ablation_suite(base_cfg):
+        run_dir = Path(run_cfg.out_dir)
+        result = _prior_result(run_dir, run_cfg, n_pairs)
+        if result is None:
+            # a retrain that fails must not leave the old report to be reused
+            (run_dir / "report.json").unlink(missing_ok=True)
+            log(f"({row}) {name}: training {run_cfg.max_steps} steps")
+            mdl, _, _, _ = model_mod.load_checkpoint(training.run_training(run_cfg))
+            result = run_eval(mdl, manifest, "s2s", n_pairs, base_cfg.seed, run_dir,
+                              embedder=embedder)
+        else:
+            log(f"({row}) {name}: already done, skipping")
+        rows.append({"row": f"({row})", "name": name, **result})
+    render_report(rows, out / "ablation_report.json", out / "ablation_report.txt")
+    return rows

@@ -11,6 +11,7 @@ documented in docs/formats.md.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -35,6 +36,7 @@ __all__ = [
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint_meta",
     "write_trace",
     "read_trace",
 ]
@@ -372,42 +374,62 @@ def _pack_blob_file(magic, meta, arrays):
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def _parse_blob(buf, path):
+def _field(buf, pos, n, path):
+    """``pos``, after checking that the ``n`` bytes from it lie inside the
+    payload ``buf[:-4]``."""
+    if n > len(buf) - 4 - pos:
+        raise CheckpointError(f"{path}: malformed container, a field runs "
+                              f"past the payload at byte {pos}")
+    return pos
+
+
+def _parse_header(buf, path):
+    """The metadata of the container ``buf`` and the offset of its array
+    count.  Reads no array and checks no CRC."""
+    version, meta_len = struct.unpack_from("<HI", buf, _field(buf, 4, 6, path))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    try:
+        meta = json.loads(str(buf[_field(buf, 10, meta_len, path):10 + meta_len],
+                              "utf-8"))
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: malformed container: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: container metadata is no JSON object")
+    return meta, 10 + meta_len
+
+
+def _parse_blob(buf, path, extra_arrays=False):
     """The metadata and arrays of the payload ``buf[:-4]`` of a container.
 
     Fields are read at offsets into ``buf``; each array is copied once, into
     its own aligned, writable float32 array, so none refers to ``buf``.
+    Every array header is walked, but an ``extra.*`` array is copied only
+    with ``extra_arrays``.
     """
+    meta, pos = _parse_header(buf, path)
     end = len(buf) - 4
-    pos = 4
 
     def take(n):
         """The offset of the next ``n`` bytes, which it moves past."""
         nonlocal pos
-        if n > end - pos:
-            raise CheckpointError(f"{path}: malformed container, a field runs "
-                                  f"past the payload at byte {pos}")
-        pos += n
+        pos = _field(buf, pos, n, path) + n
         return pos - n
 
-    version, meta_len = struct.unpack_from("<HI", buf, take(6))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
+    (count,) = struct.unpack_from("<I", buf, take(4))
+    arrays = {}
     try:
-        meta = json.loads(str(buf[take(meta_len):pos], "utf-8"))
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path}: container metadata is no JSON object")
-        (count,) = struct.unpack_from("<I", buf, take(4))
-        arrays = {}
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", buf, take(2))
             name = str(buf[take(nlen):pos], "utf-8")
             (ndim,) = struct.unpack_from("<B", buf, take(1))
             shape = struct.unpack_from(f"<{ndim}I", buf, take(4 * ndim))
             size = math.prod(shape)
-            arrays[name] = np.frombuffer(buf, "<f4", size, take(4 * size)) \
-                .reshape(shape).astype(np.float32)
-    except ValueError as e:  # bad UTF-8 or JSON
+            at = take(4 * size)
+            if extra_arrays or not name.startswith("extra."):
+                arrays[name] = np.frombuffer(buf, "<f4", size, at) \
+                    .reshape(shape).astype(np.float32)
+    except ValueError as e:  # a name that is not UTF-8
         raise CheckpointError(f"{path}: malformed container: {e}") from e
     if pos != end:
         raise CheckpointError(f"{path}: malformed container, {end - pos} "
@@ -415,15 +437,10 @@ def _parse_blob(buf, path):
     return meta, arrays
 
 
-def _read_blob_file(path, magic):
-    """The metadata and arrays of the container file at ``path``.
-
-    The file is memory-mapped while it is read.  Its CRC is computed as one
-    share of the active ``cpus.Shares`` and the parse as another; a CRC
-    mismatch is reported even when the parse fails too, so a corrupted file
-    is always named as such.  No returned array refers to the map, which is
-    closed before this returns.
-    """
+@contextlib.contextmanager
+def _mapped(path, magic):
+    """The container file at ``path`` memory-mapped, after checking its
+    magic; the map is closed on exit."""
     with open(path, "rb") as fh:
         # an empty file cannot be mapped, and a shorter one has no magic and CRC
         if os.fstat(fh.fileno()).st_size < 8:
@@ -431,14 +448,29 @@ def _read_blob_file(path, magic):
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
             if buf[:4] != magic:
                 raise CheckpointError(f"{path}: bad magic")
-            (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
+            yield buf
 
-            def check_crc():
-                with memoryview(buf) as whole, whole[:-4] as payload:
-                    if zlib.crc32(payload) != crc:
-                        raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
 
-            return cpus.active().run([check_crc, lambda: _parse_blob(buf, path)])[1]
+def _read_blob_file(path, magic, extra_arrays=False):
+    """The metadata and arrays of the container file at ``path``; the
+    ``extra.*`` arrays only with ``extra_arrays``.
+
+    The file is memory-mapped while it is read.  Its CRC, over every byte,
+    is computed as one share of the active ``cpus.Shares`` and the parse as
+    another; a CRC mismatch is reported even when the parse fails too, so a
+    corrupted file is always named as such.  No returned array refers to
+    the map, which is closed before this returns.
+    """
+    with _mapped(path, magic) as buf:
+        (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
+
+        def check_crc():
+            with memoryview(buf) as whole, whole[:-4] as payload:
+                if zlib.crc32(payload) != crc:
+                    raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
+
+        return cpus.active().run([check_crc,
+                                  lambda: _parse_blob(buf, path, extra_arrays)])[1]
 
 
 def save_checkpoint(model, path, mel_config=None, extra_meta=None, extra_arrays=None):
@@ -478,9 +510,39 @@ def _fold_pre_norm_biases(arrays):
         rm -= b.reshape(rm.shape)
 
 
-def load_checkpoint(path):
-    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays)."""
-    meta, arrays = _read_blob_file(path, CHECKPOINT_MAGIC)
+def _checkpoint_extra(meta, path):
+    """The ``extra`` dict of checkpoint metadata ``meta``, empty when there
+    is none, after checking the types every command relies on."""
+    extra = meta.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: checkpoint extra is no JSON object")
+    speakers = extra.get("train_speakers")
+    if speakers is not None and not (isinstance(speakers, list) and
+                                     all(isinstance(s, str) for s in speakers)):
+        raise CheckpointError(f"{path}: train_speakers = {speakers!r} "
+                              "(expected a list of strings)")
+    return extra
+
+
+def read_checkpoint_meta(path):
+    """The metadata dict of the checkpoint at ``path``, with its ``extra``
+    checked as ``load_checkpoint`` checks it.
+
+    Reads the header and the metadata only: no array, and no CRC check.
+    """
+    with _mapped(path, CHECKPOINT_MAGIC) as buf:
+        meta, _ = _parse_header(buf, path)
+    _checkpoint_extra(meta, path)
+    return meta
+
+
+def load_checkpoint(path, extra_arrays=False):
+    """Load a checkpoint; returns (model, mel_config, extra_meta, extra_arrays).
+
+    The ``extra.*`` arrays (a training checkpoint's optimizer moments) are
+    copied only with ``extra_arrays``; without it the last element is ``{}``.
+    """
+    meta, arrays = _read_blob_file(path, CHECKPOINT_MAGIC, extra_arrays)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         mel_cfg = MelConfig(**meta["mel_config"])
@@ -488,11 +550,11 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: malformed checkpoint metadata: {e!r}") from e
     except (ModelError, DspError) as e:
         raise CheckpointError(f"{path}: {e}") from e
+    extra = _checkpoint_extra(meta, path)
     _fold_pre_norm_biases(arrays)
     model = S2VCModel.from_state_arrays(config, arrays)
-    extra_arrays = {k[len("extra."):]: v for k, v in arrays.items()
-                    if k.startswith("extra.")}
-    return model, mel_cfg, meta.get("extra", {}), extra_arrays
+    return model, mel_cfg, extra, {k[len("extra."):]: v for k, v in arrays.items()
+                                   if k.startswith("extra.")}
 
 
 def write_trace(path, trace):

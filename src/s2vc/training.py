@@ -196,6 +196,34 @@ def _make_item(feats, cfg, rng):
     return BatchItem(src.utterance_id, src, tgt, mel_frames)
 
 
+def _resume(path, learning_rate):
+    """The model, AdamW optimizer, step and RNG the training checkpoint at
+    ``path`` saved; training state of the wrong type, or a missing moment,
+    raises TrainingError."""
+    model, _, extra, moments = load_checkpoint(path, extra_arrays=True)
+    if extra.get("train_config") is None:
+        raise TrainingError(f"{path} carries no training state")
+    for key, kind in (("step", int), ("optimizer_t", int), ("rng_state", str)):
+        if type(extra.get(key)) is not kind:   # a bool is no step
+            raise TrainingError(f"{path}: {key} = {extra.get(key)!r} "
+                                f"(expected {kind.__name__})")
+    optimizer = AdamW(model.params, lr=learning_rate)
+    optimizer.t = extra["optimizer_t"]
+    for k in optimizer.m:
+        for name, state in (("m", optimizer.m), ("v", optimizer.v)):
+            saved = moments.get(f"opt.{name}.{k}")
+            if saved is None or saved.shape != state[k].shape:
+                raise TrainingError(f"{path}: no optimizer moment opt.{name}.{k} "
+                                    f"of shape {state[k].shape}")
+            state[k][...] = saved
+    rng = np.random.default_rng()
+    try:
+        rng.bit_generator.state = json.loads(extra["rng_state"])
+    except (ValueError, TypeError, KeyError) as e:
+        raise TrainingError(f"{path}: rng_state is no generator state: {e}") from e
+    return model, optimizer, extra["step"], rng
+
+
 def run_training(cfg, resume_from=None, log_fn=None):
     """Train per ``cfg``; returns the final checkpoint path.
 
@@ -223,17 +251,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
     log_path = out_dir / "train_log.jsonl"
 
     if resume_from is not None:
-        model, _, extra, extra_arrays = load_checkpoint(resume_from)
-        if extra.get("train_config") is None:
-            raise TrainingError(f"{resume_from} carries no training state")
-        optimizer = AdamW(model.params, lr=cfg.learning_rate)
-        step = int(extra["step"])
-        optimizer.t = int(extra["optimizer_t"])
-        for k in optimizer.m:
-            optimizer.m[k][...] = extra_arrays[f"opt.m.{k}"]
-            optimizer.v[k][...] = extra_arrays[f"opt.v.{k}"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(extra["rng_state"])
+        model, optimizer, step, rng = _resume(resume_from, cfg.learning_rate)
     else:
         model = S2VCModel(cfg.model, seed=cfg.seed)
         optimizer = AdamW(model.params, lr=cfg.learning_rate)

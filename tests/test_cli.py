@@ -418,6 +418,27 @@ class TestConvert:
         assert trace.q.shape[1] == 4
         assert trace.v.shape[1] == 64
 
+    def test_training_checkpoint_converts_as_without_moments(
+            self, runner, corpus_manifest, tmp_path):
+        """The optimizer moments a training checkpoint carries change no
+        output byte of ``convert``."""
+        trained = training.run_training(resolve_train_config(
+            write_tiny_config(tmp_path / "c.cfg"), {
+                "train.manifest": str(corpus_manifest),
+                "train.out_dir": str(tmp_path / "run"), "train.max_steps": 1}))
+        mdl, mel_cfg, _, _ = load_checkpoint(trained)
+        bare = tmp_path / "bare.s2vc"
+        save_checkpoint(mdl, bare, mel_config=mel_cfg)
+        assert bare.stat().st_size < trained.stat().st_size / 2
+        outputs = []
+        for checkpoint in (trained, bare):
+            out = tmp_path / checkpoint.stem
+            out.mkdir()
+            res = runner.invoke(main, convert_args(corpus_manifest, checkpoint, out))
+            assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_bytes() for name in ("o.wav", "t.s2vt")])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("width", ["tiny", "d512"])
     def test_output_bytes_independent_of_spare_cpus(
             self, width, runner, corpus_manifest, tiny_checkpoint,
@@ -687,6 +708,55 @@ class TestAblate:
         assert {(r["n_pairs"], r["seed"]) for r in rows} == {(int(rerun[3]),
                                                              int(rerun[5]))}
 
+    def test_skipped_rows_parse_no_array(self, runner, corpus_manifest, tmp_path,
+                                         monkeypatch):
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        args = ["ablate", "--config", str(cfg), "--manifest", str(corpus_manifest),
+                "--out-dir", str(tmp_path / "abl"), "--max-steps", "1",
+                "--n-pairs", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        report = (tmp_path / "abl" / "ablation_report.json").read_bytes()
+        monkeypatch.setattr(model, "_parse_blob", pytest.fail)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output.count("skipping") == 7
+        assert (tmp_path / "abl" / "ablation_report.json").read_bytes() == report
+
+    # a prior row's file made unreadable -> rows trained again on the rerun
+    UNREADABLE = {
+        "report not JSON": ("report.json", lambda raw: b"{" + raw, 1),
+        "report without rows": ("report.json", lambda raw: b'{"results": []}', 1),
+        "row without n_pairs": ("report.json",
+                                lambda raw: raw.replace(b'"n_pairs"', b'"pairs"'), 1),
+        "checkpoint cut in its metadata": ("checkpoint_final.s2vc",
+                                           lambda raw: raw[:64], 1),
+        # the metadata still reads, and the row's result is its report
+        "checkpoint cut in its arrays": ("checkpoint_final.s2vc",
+                                         lambda raw: raw[:len(raw) // 2], 0),
+    }
+
+    @pytest.mark.parametrize("fault", list(UNREADABLE))
+    def test_unreadable_row_is_stale(self, fault, runner, corpus_manifest, tmp_path,
+                                     monkeypatch):
+        name, damage, n_trained = self.UNREADABLE[fault]
+        suite = training.ablation_suite
+        monkeypatch.setattr(training, "ablation_suite", lambda base: suite(base)[:2])
+        cfg = write_tiny_config(tmp_path / "c.cfg")
+        out = tmp_path / "abl"
+        args = ["ablate", "--config", str(cfg), "--manifest", str(corpus_manifest),
+                "--out-dir", str(out), "--max-steps", "1", "--n-pairs", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        first = (out / "ablation_report.json").read_bytes()
+        damaged = out / "a_baseline" / name
+        damaged.write_bytes(damage(damaged.read_bytes()))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output.count("training 1 steps") == n_trained
+        assert res.output.count("skipping") == 2 - n_trained
+        assert (out / "ablation_report.json").read_bytes() == first
+        if n_trained:
+            model.load_checkpoint(out / "a_baseline" / "checkpoint_final.s2vc")
+
     def test_truncated_feature_file_runtime_error(self, runner, corpus_manifest,
                                                   tmp_path):
         cfg = write_tiny_config(tmp_path / "c.cfg")
@@ -707,6 +777,13 @@ MISTYPED_META = {
     "n_fft 512.5": ("mel_config", "n_fft", 512.5),
     "hop_length 0": ("mel_config", "hop_length", 0),
     "n_mels 0": ("mel_config", "n_mels", 0),
+    # the extra section of a training checkpoint
+    "extra a list": ("extra", None, ["step"]),
+    "train_speakers 5": ("extra", "train_speakers", 5),
+    "extra without step": ("extra", None, {"train_config": {}}),
+    "step 1.5": ("extra", "step", 1.5),
+    "optimizer_t true": ("extra", "optimizer_t", True),
+    "rng_state 5": ("extra", "rng_state", 5),
 }
 
 
@@ -718,15 +795,25 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
     if " checkpoint with " in case:   # CRC-valid, with a bad value
         command, _, what = case.partition(" checkpoint with ")
         section, key, value = MISTYPED_META[what]
-        meta, arrays = model._read_blob_file(checkpoint, model.CHECKPOINT_MAGIC)
+        config = write_tiny_config(tmp_path / "c.cfg")
+        if section == "extra":   # a training checkpoint, with optimizer moments
+            checkpoint = training.run_training(resolve_train_config(config, {
+                "train.manifest": str(corpus_manifest),
+                "train.out_dir": str(tmp_path / "trained"), "train.max_steps": 0}))
+        meta, arrays = model._read_blob_file(checkpoint, model.CHECKPOINT_MAGIC,
+                                             extra_arrays=True)
         meta[section] = value if key is None else {**meta[section], key: value}
         crafted = tmp_path / "crafted.s2vc"
         crafted.write_bytes(model._pack_blob_file(model.CHECKPOINT_MAGIC, meta, arrays))
         if command == "convert":
             return ["convert", str(crafted), *convert_inputs,
                     "--out", str(tmp_path / "o.wav"), "--gl-iters", "2"]
-        return ["eval", str(crafted), str(corpus_manifest), "--n-pairs", "2",
-                "--out-dir", str(tmp_path / "o")]
+        if command == "train --resume":
+            return ["train", "--config", str(config), "--manifest", str(corpus_manifest),
+                    "--out-dir", str(tmp_path / "run"), "--max-steps", "1",
+                    "--resume", str(crafted)]
+        return ["eval", str(crafted), str(corpus_manifest), *command.split()[1:],
+                "--n-pairs", "2", "--out-dir", str(tmp_path / "o")]
     if case.endswith(("below 0", "below 1")) or "--seed" in case:
         command = case.split()[0]
         config = ["--config", str(write_tiny_config(tmp_path / "c.cfg")),
@@ -851,6 +938,16 @@ class TestFaultMatrix:
         "convert checkpoint with n_fft 512.5": (1, "n_fft = 512.5 (expected int)"),
         "convert checkpoint with hop_length 0": (1, "hop_length must be positive"),
         "convert checkpoint with n_mels 0": (1, "n_mels must be positive"),
+        "eval checkpoint with extra a list": (1, "extra is no JSON object"),
+        "train --resume checkpoint with extra a list": (1, "extra is no JSON object"),
+        "eval --scenario u2u checkpoint with train_speakers 5": (
+            1, "train_speakers = 5 (expected a list of strings)"),
+        "train --resume checkpoint with extra without step": (
+            1, "step = None (expected int)"),
+        "train --resume checkpoint with step 1.5": (1, "step = 1.5 (expected int)"),
+        "train --resume checkpoint with optimizer_t true": (
+            1, "optimizer_t = True (expected int)"),
+        "train --resume checkpoint with rng_state 5": (1, "rng_state = 5 (expected str)"),
         "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
         "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
         "train --config with a non-UTF-8 comment": (2, "c.cfg:1: not UTF-8"),

@@ -3,8 +3,9 @@ valid file raise only an ``s2vc.Error`` or an ``OSError``.
 
 Edits land in the first 4 KB, where the headers, metadata and names are.
 The two CRC-guarded containers get their CRC recomputed after the edit, so
-the parse is reached.  Each ``@example`` is a mutation that once escaped
-as another exception.
+the parse is reached; ``read_checkpoint_meta`` checks no CRC, so its input
+needs none.  Each ``@example`` is a mutation that once escaped as another
+exception.
 """
 
 import contextlib
@@ -70,7 +71,7 @@ def root(tmp_path_factory):
                                                         100.0, "u", "spkA"))
     small = tiny_model_config(d_model=16, conformer_ff_dim=16, conformer_conv_kernel=3)
     model.save_checkpoint(model.S2VCModel(small, seed=0), root / "m.s2vc",
-                          extra_meta={"step": 1})
+                          extra_meta={"step": 1, "train_speakers": ["spkA"]})
     Manifest([ManifestEntry(f"u{i}", f"spk{i % 2}", f"u{i}.wav",
                             {"mel": f"u{i}.mel.s2vf"}) for i in range(3)]
              ).save(root / "manifest.jsonl")
@@ -110,6 +111,12 @@ def test_load_feature_file(root, edits, cut):
 @given(edits=EDITS, cut=CUT)
 def test_load_checkpoint(root, edits, cut):
     read_mutated(root, "m.s2vc", edits, cut, model.load_checkpoint, crc=True)
+
+
+@fuzz(200)
+@given(edits=EDITS, cut=CUT)
+def test_read_checkpoint_meta(root, edits, cut):
+    read_mutated(root, "m.s2vc", edits, cut, model.read_checkpoint_meta)
 
 
 @fuzz(200)

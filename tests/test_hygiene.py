@@ -1,10 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, only ``cpus`` makes child processes
 and threads and talks to its children, no function is handed a share set
-or has a parameter it never reads, every exception derives from
-``s2vc.Error`` and reaches the user through the one CLI boundary, and
-every function the traced benchmark wraps still exists and runs on the
-main thread only.
+or has a parameter it never reads, no checkpoint is loaded whole for its
+metadata, every exception derives from ``s2vc.Error`` and reaches the user
+through the one CLI boundary, and every function the traced benchmark
+wraps still exists and runs on the main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -435,6 +435,40 @@ def test_one_cli_boundary():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert command_handlers(source) == [("cmd_feats", "Exception")]
     assert callers(source, "_fail") == ["_Commands.invoke"]
+
+def discarded_model_loads(source):
+    """Sorted lines of ``source`` that unpack a ``load_checkpoint(...)`` call
+    with ``_`` in the model's place: a full load for its metadata alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        if getattr(func, "attr", getattr(func, "id", None)) != "load_checkpoint":
+            continue
+        for t in node.targets:
+            if (isinstance(t, (ast.Tuple, ast.List)) and t.elts
+                    and isinstance(t.elts[0], ast.Name) and t.elts[0].id == "_"):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_model_load_checker_sees_every_form():
+    source = ("m, _, extra, _ = load_checkpoint(p)\n"
+              "_, _, extra, _ = load_checkpoint(p)\n"
+              "[_, cfg, x, y] = model_mod.load_checkpoint(p, extra_arrays=True)\n"
+              "_, meta = read_blob(p)\n"
+              "loaded = load_checkpoint(p)\n"
+              "a = _, _, e, _ = model.load_checkpoint(p)\n")
+    assert discarded_model_loads(source) == [2, 3, 6]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_full_load_for_metadata(module):
+    """A caller that needs a checkpoint's metadata but not its model reads it
+    with ``read_checkpoint_meta``, which parses no array."""
+    assert discarded_model_loads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
 
 def traced_names():
     """The dotted names bench/trace.py wraps, read without importing it."""

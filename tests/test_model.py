@@ -16,6 +16,7 @@ from s2vc.model import (
     ModelError,
     S2VCModel,
     load_checkpoint,
+    read_checkpoint_meta,
     read_trace,
     save_checkpoint,
     write_trace,
@@ -512,7 +513,11 @@ class TestLoadPath:
         path = tmp_path / "model.s2vc"
         save_checkpoint(tiny_model, path,
                         extra_arrays={"adam_m": np.ones((3, 2), np.float32)})
-        return load_checkpoint(path)
+        return load_checkpoint(path, extra_arrays=True)
+
+    def test_extra_arrays_copied_only_when_asked(self, loaded, tmp_path):
+        assert loaded[3].keys() == {"adam_m"}
+        assert load_checkpoint(tmp_path / "model.s2vc")[3] == {}
 
     def test_arrays_are_own_aligned_writable_float32(self, loaded):
         model, _, _, extra_arrays = loaded
@@ -588,6 +593,56 @@ class TestLoadPath:
                                                    {"mel_config": {}}, {}))
         with pytest.raises(CheckpointError, match="malformed checkpoint metadata"):
             load_checkpoint(path)
+
+
+class TestMetaRead:
+    """``read_checkpoint_meta`` reads the header and metadata alone: no array
+    and no CRC, with ``extra`` held to the types ``load_checkpoint`` checks."""
+
+    @pytest.fixture
+    def path(self, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        save_checkpoint(tiny_model, path, extra_meta={"step": 3},
+                        extra_arrays={"opt.m.w": np.ones((3, 2), np.float32)})
+        return path
+
+    def test_same_metadata_as_the_full_read(self, path):
+        meta, _ = model_mod._read_blob_file(path, model_mod.CHECKPOINT_MAGIC)
+        assert read_checkpoint_meta(path) == meta
+        assert meta["extra"] == {"step": 3}
+
+    def test_reads_no_array_and_no_crc(self, path, monkeypatch):
+        raw = bytearray(path.read_bytes())
+        raw[-10] ^= 0xFF    # inside the last array
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(model_mod, "_parse_blob", pytest.fail)
+        monkeypatch.setattr(model_mod.zlib, "crc32", pytest.fail)
+        assert read_checkpoint_meta(path)["extra"] == {"step": 3}
+
+    @pytest.mark.parametrize("cut,match", [(0, "bad magic"), (12, "past the payload")])
+    def test_cut_header_rejected(self, cut, match, path):
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointError, match=match):
+            read_checkpoint_meta(path)
+
+    def test_trace_is_bad_magic(self, tmp_path):
+        path = tmp_path / "trace.s2vt"
+        path.write_bytes(model_mod._pack_blob_file(model_mod.TRACE_MAGIC, {}, {}))
+        with pytest.raises(CheckpointError, match="bad magic"):
+            read_checkpoint_meta(path)
+
+    @pytest.mark.parametrize("extra,match", [
+        (["step"], "extra is no JSON object"),
+        ({"train_speakers": 5}, "train_speakers = 5"),
+        ({"train_speakers": ["spkA", 2]}, "expected a list of strings"),
+    ])
+    @pytest.mark.parametrize("read", [read_checkpoint_meta, load_checkpoint],
+                             ids=["meta", "load"])
+    def test_mistyped_extra_rejected(self, read, extra, match, tiny_model, tmp_path):
+        path = tmp_path / "model.s2vc"
+        save_checkpoint(tiny_model, path, extra_meta=extra)
+        with pytest.raises(CheckpointError, match=match):
+            read(path)
 
 
 @pytest.fixture(params=[0, 1], ids=["serial", "crc-thread"])

@@ -77,8 +77,9 @@ def assert_no_child_process():
 
 def assert_checkpoints_equal(path_a, path_b):
     """Parameters, buffers, and the optimizer moments among the extra arrays."""
-    ma, _, _, xa = load_checkpoint(path_a)
-    mb, _, _, xb = load_checkpoint(path_b)
+    ma, _, _, xa = load_checkpoint(path_a, extra_arrays=True)
+    mb, _, _, xb = load_checkpoint(path_b, extra_arrays=True)
+    assert xa, "no optimizer moments to compare"
     for a, b in ((ma.state_arrays(), mb.state_arrays()), (xa, xb)):
         assert a.keys() == b.keys()
         for k in a:
@@ -231,7 +232,8 @@ class TestRunTraining:
         final = run_training(cfg)
         assert final.name == "checkpoint_final.s2vc"
         assert (tmp_path / "run" / "checkpoint_init.s2vc").exists()
-        mdl, _, extra, _ = load_checkpoint(final)
+        mdl, _, extra, extra_arrays = load_checkpoint(final)
+        assert extra_arrays == {}   # the optimizer moments are read on resume only
         assert extra["step"] == 0
         assert extra["train_speakers"] == ["spkA", "spkB"]
         assert mdl.config == cfg.model
@@ -373,6 +375,22 @@ class TestRunTraining:
         cfg = tiny_cfg(corpus_manifest, tmp_path / "run")
         with pytest.raises(TrainingError, match="training state"):
             run_training(cfg, resume_from=bare)
+
+    @pytest.mark.parametrize("drop", ["opt.m.", "opt.v."])
+    def test_resume_requires_every_moment(self, drop, corpus_manifest, tmp_path):
+        from s2vc import model as model_mod
+
+        cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=0)
+        meta, arrays = model_mod._read_blob_file(
+            run_training(cfg), model_mod.CHECKPOINT_MAGIC, extra_arrays=True)
+        dropped = sorted(k for k in arrays if k.startswith(f"extra.{drop}"))[-1]
+        del arrays[dropped]
+        crafted = tmp_path / "crafted.s2vc"
+        crafted.write_bytes(model_mod._pack_blob_file(model_mod.CHECKPOINT_MAGIC,
+                                                      meta, arrays))
+        with pytest.raises(TrainingError,
+                           match=f"no optimizer moment {dropped[len('extra.'):]}"):
+            run_training(replace(cfg, max_steps=1), resume_from=crafted)
 
 
 class TestAblationSuite:
