@@ -5,9 +5,11 @@ one helper process per spare CPU, ``s2vc eval`` forks one for its speaker
 embedder when a CPU is spare, and ``s2vc convert`` starts one ``Shares``
 thread per spare CPU.  A ``Shares`` runs the contiguous row shares of one
 piece of NumPy work at once, on the calling thread and its own threads;
-NumPy and BLAS release the interpreter lock, so the shares overlap.  Every
-split in the package gives the same bits as the unsplit work: the callers
-split only work whose rows are computed independently.
+NumPy and BLAS release the interpreter lock, so the shares overlap.  Three
+places split work: the rows of a large product (``tensor._matmul_rows``),
+Griffin-Lim's frames and blocks, and a checkpoint's CRC beside its parse.
+Every split gives the same bits as the unsplit work: each splits only work
+whose rows are computed independently.
 
 The set a thread splits its work across is ambient, as the recording tape
 is: ``with Shares(n):`` makes it the calling thread's ``active()`` set until

@@ -1,9 +1,9 @@
 """Waveform I/O and spectral processing.
 
-WAV reading/writing (PCM16 / IEEE float32), the atomic file write that
-every output file goes through, polyphase sinc resampling, Hann-windowed
-STFT, HTK-scale log-mel extraction, and Griffin-Lim phase recovery as the
-waveform synthesis path.
+WAV reading (PCM16 / IEEE float32) and PCM16 writing, the atomic file
+write that every output file goes through, polyphase sinc resampling,
+Hann-windowed STFT, HTK-scale log-mel extraction, and Griffin-Lim phase
+recovery as the waveform synthesis path.
 
 Internals run in float64; public matrices come back as float32.
 """
@@ -175,39 +175,33 @@ def read_wav(path):
     return AudioBuffer(arr, sample_rate)
 
 
-def write_wav(path, buf, fmt="pcm16"):
-    """Write a mono WAV; ``fmt`` is 'pcm16' or 'float32'."""
-    n = len(buf.samples)
-    if fmt == "pcm16":
-        payload = np.clip(np.round(buf.samples * 32767.0), -32768, 32767).astype("<i2").tobytes()
-        audio_format, bits = 1, 16
-    elif fmt == "float32":
-        payload = buf.samples.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-    else:
-        raise DspError(f"unknown wav format {fmt!r}")
-    byte_rate = buf.sample_rate * bits // 8
+def write_wav(path, buf):
+    """Write a mono PCM16 WAV."""
+    payload = np.clip(np.round(buf.samples * 32767.0), -32768, 32767).astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, audio_format, 1, buf.sample_rate, byte_rate, bits // 8, bits,
+        b"fmt ", 16, 1, 1, buf.sample_rate, buf.sample_rate * 2, 2, 16,
         b"data", len(payload),
     )
     write_atomic(path, header + payload)
-    return n
+    return len(buf.samples)
 
 
 # ---------------------------------------------------------------------------
 # resampling
 
-def _kaiser_sinc(t, cutoff, beta=8.0, half_width=16.0):
+KAISER_BETA = 8.0
+
+
+def _kaiser_sinc(t, cutoff, half_width):
     """Windowed-sinc kernel evaluated at (fractional) sample offsets ``t``."""
     x = t * cutoff
     core = cutoff * np.sinc(x)
     w = np.zeros_like(t)
     inside = np.abs(t) <= half_width
     r = t[inside] / half_width
-    w[inside] = np.i0(beta * np.sqrt(np.maximum(0.0, 1.0 - r * r))) / np.i0(beta)
+    w[inside] = np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - r * r))) / np.i0(KAISER_BETA)
     return core * w
 
 
@@ -251,7 +245,7 @@ def resample(buf, target_rate):
     centers = np.arange(n_phases) / ratio
     left = np.ceil(centers - half_width).astype(np.int64)
     table = _kaiser_sinc((left[:, None] + np.arange(n_taps)) - centers[:, None],
-                         cutoff, half_width=half_width)
+                         cutoff, half_width)
 
     # Zero-pad by n_taps on the left, which covers ceil(-half_width), and on
     # the right up to the last tap of block n_blocks - 1 and a multiple of q.

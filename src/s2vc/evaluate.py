@@ -251,8 +251,7 @@ class SpeakerEmbedder:
         nn.init_linear(self.params, "head", EMBEDDER_WIDTH, n_speakers, rng)
 
     def _embed_tensor(self, mel_frames):
-        x = Tensor(mel_frames) if not isinstance(mel_frames, Tensor) else mel_frames
-        h = T.relu(nn.linear(self.params, "l1", x))
+        h = T.relu(nn.linear(self.params, "l1", Tensor(mel_frames)))
         h = T.relu(nn.linear(self.params, "l2", h))
         pooled = T.mean(h, axis=0, keepdims=True)          # 1 x hidden
         e = nn.linear(self.params, "proj", pooled)          # 1 x emb

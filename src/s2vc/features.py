@@ -51,25 +51,25 @@ class FeatureFileError(FeatureError):
 class FeatureKind:
     name: str
     nominal_dim: int
-    nominal_fps: float
 
     def __post_init__(self):
         # nominal_dim 0 marks a dim-from-header registry entry (ppg)
-        if self.nominal_dim < 0 or self.nominal_fps <= 0:
+        if self.nominal_dim < 0:
             raise FeatureError(f"invalid feature kind {self}")
 
 
-# nominal dims/rates are defaults; external kinds carry theirs in the file header
+# nominal dims are defaults; a sequence carries its own frame rate, and
+# external kinds carry their dims in the file header
 KIND_REGISTRY = {
-    "mel": FeatureKind("mel", 80, 100.0),
-    "ppg": FeatureKind("ppg", 0, 100.0),   # dim taken from the file header
-    "apc": FeatureKind("apc", 512, 100.0),
-    "cpc": FeatureKind("cpc", 256, 100.0),
-    "w2v": FeatureKind("w2v", 768, 50.0),
+    "mel": FeatureKind("mel", 80),
+    "ppg": FeatureKind("ppg", 0),   # dim taken from the file header
+    "apc": FeatureKind("apc", 512),
+    "cpc": FeatureKind("cpc", 256),
+    "w2v": FeatureKind("w2v", 768),
 }
 
 
-def resolve_kind(name, dim=None, fps=None):
+def resolve_kind(name, dim=None):
     """Look a kind up by name; unknown names become external kinds."""
     key = name.lower()
     if key in KIND_REGISTRY:
@@ -77,15 +77,15 @@ def resolve_kind(name, dim=None, fps=None):
         if base.nominal_dim == 0:  # dim-from-header kinds (ppg)
             if dim is None:
                 raise FeatureError(f"kind {name!r} needs an explicit dimension")
-            return FeatureKind(base.name, dim, fps or base.nominal_fps)
+            return FeatureKind(base.name, dim)
         if dim is not None and dim != base.nominal_dim:
             raise FeatureFileError(
                 f"kind {name!r} has nominal dim {base.nominal_dim}, file claims {dim}"
             )
         return base
-    if dim is None or fps is None:
-        raise FeatureError(f"external kind {name!r} needs explicit dim and fps")
-    return FeatureKind(key, dim, fps)
+    if dim is None:
+        raise FeatureError(f"external kind {name!r} needs an explicit dim")
+    return FeatureKind(key, dim)
 
 
 @dataclass
@@ -188,7 +188,7 @@ def load_feature_file(path):
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     if not np.all(np.isfinite(frames)):
         raise FeatureFileError("non-finite values in feature payload")
-    kind = resolve_kind(kind_name, dim=d, fps=fps)
+    kind = resolve_kind(kind_name, dim=d)
     utterance_id = Path(path).stem
     return FeatureSequence(kind, frames, fps, utterance_id, speaker_id)
 

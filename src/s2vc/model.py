@@ -311,10 +311,10 @@ class S2VCModel:
         ``src`` is one FeatureSequence, ``tgts`` a non-empty list of
         sequences from the target speaker, each aligned to the frame rate of
         ``src``; returns (mel prediction Ts x mel_dim, AttentionTrace).
-        In train mode a ``bn_stats`` list collects each batch norm's batch
-        statistics instead of their update of the running averages (see
-        ``nn.batchnorm``).  Without a tape, row-wise work is split across
-        the active ``cpus.Shares``.
+        In train mode the ``bn_stats`` list collects each batch norm's batch
+        statistics, and the model is left unchanged: ``fold_microstep`` is
+        the one writer of the running averages.  Without a tape, the rows of
+        each large product are split across the active ``cpus.Shares``.
         """
         if not isinstance(tgts, list) or not tgts:
             raise ModelError("forward needs a non-empty list of target sequences")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cpus
 from . import tensor as T
 from .tensor import Tensor
 
@@ -74,28 +73,25 @@ def update_running_stats(buffers, name, mu, var):
 def batchnorm(params, buffers, name, x, train, bn_stats=None):
     """Batch norm over the time axis of a T x C activation.
 
-    Train mode normalizes with the batch statistics and folds them into the
-    running averages, or, given a ``bn_stats`` list, appends
-    ``(name, mu, var)`` to it for the caller to fold later with
-    ``update_running_stats``.  Eval mode normalizes with the running averages.
+    Train mode normalizes with the batch statistics and appends
+    ``(name, mu, var)`` to ``bn_stats``; ``training.fold_microstep`` is the
+    one writer of the running averages.  Eval mode normalizes with the
+    running averages.
     """
     gamma = params[f"{name}.gamma"]
     beta = params[f"{name}.beta"]
     if train:
         y, mu, var = T.batchnorm(x, gamma, beta, BN_EPS)
-        if bn_stats is None:
-            update_running_stats(buffers, name, mu, var)
-        else:
-            bn_stats.append((name, mu, var))
+        bn_stats.append((name, mu, var))
         return y
     rm = buffers[f"{name}.running_mean"]
     rv = buffers[f"{name}.running_var"]
     return gamma * ((x - rm) / np.sqrt(rv.data + BN_EPS)) + beta
 
 
-def instance_norm(x, eps=IN_EPS):
+def instance_norm(x):
     """Per-channel normalization over time, no learned affine."""
-    return T.instance_norm(x, eps)
+    return T.instance_norm(x, IN_EPS)
 
 
 def init_layernorm(params, name, dim, shape_only=False):
@@ -157,25 +153,10 @@ def init_conformer_block(params, buffers, name, cfg, rng):
     init_layernorm(params, f"{name}.final.ln", d, shape_only)
 
 
-def _ff_rows(params, name, x):
+def _ff(params, name, x):
+    """The feed-forward module: layer norm, linear, swish, linear."""
     h = swish(linear(params, f"{name}.in", layer_norm(params, f"{name}.ln", x)))
     return linear(params, f"{name}.out", h)
-
-
-def _ff(params, name, x):
-    """The feed-forward module: layer norm, linear, swish, linear.
-
-    Every row is computed alone, so without a tape the rows are split across
-    the active shares, each share running the whole module with its own
-    matmuls unsplit.
-    """
-    if T.GradTape._active is not None or (shares := cpus.active()).count == 1:
-        return _ff_rows(params, name, x)
-    parts = shares.rows(
-        x.shape[0],
-        lambda lo, hi: _ff_rows(params, name, Tensor._wrap(x.data[lo:hi])).data,
-        T.min_share_rows(*params[f"{name}.in.w"].shape))
-    return Tensor._wrap(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 def conformer_block(params, buffers, name, x, cfg, train=False, bn_stats=None):

@@ -36,7 +36,6 @@ __all__ = [
     "AdamW",
     "accumulate_grad",
     "matmul",
-    "min_share_rows",
     "linear",
     "transpose",
     "relu",
@@ -444,12 +443,6 @@ def glu(x):
 MIN_SHARE_MACS = 1 << 23
 
 
-def min_share_rows(d_in, d_out):
-    """The fewest rows of ``x`` a share of ``x @ w`` may hold, for a
-    ``d_in x d_out`` ``w``."""
-    return -(-MIN_SHARE_MACS // max(1, d_in * d_out))
-
-
 def _matmul_rows(a, b):
     """``a @ b`` for 2-D arrays, the rows of ``a`` split across the active
     ``cpus.Shares`` unless a tape is recording.  Each row of the product is
@@ -466,7 +459,8 @@ def _matmul_rows(a, b):
         with np.errstate(over="ignore"):
             np.matmul(a[lo:hi], b, out=out[lo:hi])
 
-    shares.rows(a.shape[0], share, min_share_rows(*b.shape))
+    # each row of ``a`` costs ``b.size`` multiply-adds
+    shares.rows(a.shape[0], share, -(-MIN_SHARE_MACS // max(1, b.size)))
     return out
 
 
@@ -827,16 +821,19 @@ def depthwise_conv1d(x, w, b=None):
 # ---------------------------------------------------------------------------
 # optimizer
 
+# AdamW's moment decays and denominator guard: training and both eval fits
+# use these
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """AdamW with decoupled weight decay applied before the adaptive step."""
 
-    def __init__(self, params, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.01):
+    def __init__(self, params, lr=5e-5, weight_decay=0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -844,8 +841,8 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -856,13 +853,13 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
     def zero_grad(self):
         for p in self.params.values():

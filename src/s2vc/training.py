@@ -13,10 +13,11 @@ bit-identical whichever process computed each microstep.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ def microstep(model, item, scale):
     Returns ``(loss, grads, bn_stats)``: the utterance's reconstruction loss
     times ``scale``, the gradient of that loss for each parameter on the
     tape by name, and the ``(name, mu, var)`` of every batch norm in forward
-    order.
+    order, for ``fold_microstep``, the one writer of running statistics.
     """
     bn_stats = []
     try:
@@ -112,9 +113,9 @@ def fold_microstep(model, result):
     """Sum a ``microstep`` result into ``model``; returns its loss.
 
     Gradients go into each parameter's ``.grad`` and batch statistics into
-    the running averages, as the inline forward and backward would, so
-    folding a batch's results in batch order gives the same bits whichever
-    process computed each one.
+    the running averages; this is the one writer of those averages.  Folding
+    a batch's results in batch order gives the same bits whichever process
+    computed each one.
     """
     loss, grads, bn_stats = result
     for name, g in grads.items():
@@ -196,18 +197,24 @@ def _make_item(feats, cfg, rng):
     return BatchItem(src.utterance_id, src, tgt, mel_frames)
 
 
-def _resume(path, learning_rate):
+def _resume(path, cfg):
     """The model, AdamW optimizer, step and RNG the training checkpoint at
-    ``path`` saved; training state of the wrong type, or a missing moment,
+    ``path`` saved, to go on training per ``cfg``; a model unlike
+    ``cfg.model``, training state of the wrong type, or a missing moment,
     raises TrainingError."""
     model, _, extra, moments = load_checkpoint(path, extra_arrays=True)
     if extra.get("train_config") is None:
         raise TrainingError(f"{path} carries no training state")
+    for f in fields(ModelConfig):
+        saved, wanted = getattr(model.config, f.name), getattr(cfg.model, f.name)
+        if saved != wanted:
+            raise TrainingError(f"{path} holds a model with {f.name} = {saved!r}, "
+                                f"the config asks for {wanted!r}")
     for key, kind in (("step", int), ("optimizer_t", int), ("rng_state", str)):
         if type(extra.get(key)) is not kind:   # a bool is no step
             raise TrainingError(f"{path}: {key} = {extra.get(key)!r} "
                                 f"(expected {kind.__name__})")
-    optimizer = AdamW(model.params, lr=learning_rate)
+    optimizer = AdamW(model.params, lr=cfg.learning_rate)
     optimizer.t = extra["optimizer_t"]
     for k in optimizer.m:
         for name, state in (("m", optimizer.m), ("v", optimizer.v)):
@@ -222,6 +229,26 @@ def _resume(path, learning_rate):
     except (ValueError, TypeError, KeyError) as e:
         raise TrainingError(f"{path}: rng_state is no generator state: {e}") from e
     return model, optimizer, extra["step"], rng
+
+
+def _log_bytes_to_keep(path, step):
+    """The length of the part of the training log at ``path`` that a run
+    resumed from ``step`` keeps: every whole line up to the first that is
+    no JSON object with an integer ``step`` of at most ``step``.  So the
+    lines of the steps the run redoes go, and so does a line cut short by a
+    crash mid-write, with everything after it."""
+    keep = 0
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                line = json.loads(raw) if raw.endswith(b"\n") else None
+            except (ValueError, RecursionError):
+                break
+            if not (isinstance(line, dict) and type(line.get("step")) is int
+                    and line["step"] <= step):
+                break
+            keep += len(raw)
+    return keep
 
 
 def run_training(cfg, resume_from=None, log_fn=None):
@@ -251,7 +278,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
     log_path = out_dir / "train_log.jsonl"
 
     if resume_from is not None:
-        model, optimizer, step, rng = _resume(resume_from, cfg.learning_rate)
+        model, optimizer, step, rng = _resume(resume_from, cfg)
     else:
         model = S2VCModel(cfg.model, seed=cfg.seed)
         optimizer = AdamW(model.params, lr=cfg.learning_rate)
@@ -276,15 +303,7 @@ def run_training(cfg, resume_from=None, log_fn=None):
     if step == 0:
         _save(out_dir / "checkpoint_init.s2vc", 0)
 
-    # the log keeps its lines up to the step the run starts from; a resumed
-    # run cuts the lines of the steps it is about to redo
-    keep_bytes = 0
-    if resume_from is not None and log_path.exists():
-        with open(log_path, "rb") as fh:
-            for raw in fh:
-                if json.loads(raw)["step"] > step:
-                    break
-                keep_bytes += len(raw)
+    keep_bytes = _log_bytes_to_keep(log_path, step) if resume_from is not None else 0
     entries = manifest.entries
     n_workers = min(cpus.spare_cpus(), cfg.batch_size - 1) if step < cfg.max_steps else 0
     with open(log_path, "a", encoding="utf-8") as log, \

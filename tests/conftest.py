@@ -120,8 +120,7 @@ def four_speaker_manifest(tmp_path_factory):
 @pytest.fixture(scope="session")
 def paper_width_checkpoint(tmp_path_factory):
     """A model of the paper's width, d_model = 512, on mel features: wide
-    enough that ``s2vc convert`` splits its matmuls and feed-forward modules
-    across threads."""
+    enough that ``s2vc convert`` splits its larger matmuls across threads."""
     from s2vc.dsp import MelConfig
     from s2vc.model import S2VCModel, save_checkpoint
     from toycorpus import tiny_model_config

@@ -856,6 +856,15 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_bytes(b"\n".join(lines) + b"\n")
         return ["eval", str(checkpoint), str(manifest), "--out-dir", str(tmp_path / "o")]
+    if case == "train --resume with a config of another d_model":
+        config = write_tiny_config(tmp_path / "c.cfg")
+        trained = training.run_training(resolve_train_config(config, {
+            "train.manifest": str(corpus_manifest),
+            "train.out_dir": str(tmp_path / "trained"), "train.max_steps": 0}))
+        config.write_text(config.read_text().replace("d_model = 32", "d_model = 64"))
+        return ["train", "--config", str(config), "--manifest", str(corpus_manifest),
+                "--out-dir", str(tmp_path / "run"), "--max-steps", "1",
+                "--resume", str(trained)]
     if case.startswith("train"):
         resume = tmp_path / "resume.s2vc"
         if case == "train --resume 4-byte file":
@@ -901,8 +910,8 @@ def fault_args(case, tmp_path, corpus_manifest, checkpoint):
 
 class TestFaultMatrix:
     """A bad input or output path gives one ``error:`` line and the documented
-    exit code: no traceback, no temp file left behind, and a usage error is
-    caught before the checkpoint is loaded."""
+    exit code: no traceback, no temp file or new checkpoint left behind, and
+    a usage error is caught before the checkpoint is loaded."""
 
     CASES = {   # case -> (exit code, text of the error line)
         "train --resume 4-byte file": (1, "bad magic"),
@@ -948,6 +957,8 @@ class TestFaultMatrix:
         "train --resume checkpoint with optimizer_t true": (
             1, "optimizer_t = True (expected int)"),
         "train --resume checkpoint with rng_state 5": (1, "rng_state = 5 (expected str)"),
+        "train --resume with a config of another d_model": (
+            1, "holds a model with d_model = 32, the config asks for 64"),
         "eval with dec.out.w at 3e38": (1, "produced non-finite values"),
         "probe --site V with attn.0.wv.w at 3e38": (1, "produced non-finite values"),
         "train --config with a non-UTF-8 comment": (2, "c.cfg:1: not UTF-8"),
@@ -983,6 +994,7 @@ class TestFaultMatrix:
         assert len(errors) == 1 and errors[0].startswith("error: "), res.stderr
         assert message in errors[0]
         assert list(tmp_path.rglob("*.tmp")) == []
+        assert list((tmp_path / "run").glob("*.s2vc")) == []
 
     @pytest.mark.parametrize("case", [c for c in CASES if c.endswith("at 3e38")])
     def test_overflow_warns_nothing(self, case, runner, corpus_manifest,

@@ -190,9 +190,9 @@ class TestSplitProducts:
             assert shares.splits == [1]   # a recorded forward never splits
 
     @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_conformer_block_splits_once_per_module(self, n_threads, rng):
-        """A paper-width block splits each feed-forward module and each of
-        its six outer products once, and nothing inside those shares."""
+    def test_conformer_block_splits_each_product(self, n_threads, rng):
+        """A paper-width block splits each of its ten large products once:
+        four in the two feed-forward modules and six outside them."""
         cfg = ModelConfig()
         params, buffers = {}, {}
         nn.init_conformer_block(params, buffers, "blk", cfg, rng)
@@ -201,7 +201,7 @@ class TestSplitProducts:
         with RecordingShares(n_threads) as shares:
             got = nn.conformer_block(params, buffers, "blk", x, cfg).data
         np.testing.assert_array_equal(got, want)
-        assert shares.splits == [n_threads + 1] * 8
+        assert shares.splits == [n_threads + 1] * 10
 
 
 class TestHelper:

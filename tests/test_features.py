@@ -23,7 +23,7 @@ from s2vc.features import (
 
 def make_seq(frames, kind="cpc", fps=100.0, utt="u", spk="s"):
     frames = np.asarray(frames, dtype=np.float32)
-    k = resolve_kind(kind, dim=frames.shape[1], fps=fps)
+    k = resolve_kind(kind, dim=frames.shape[1])
     return FeatureSequence(k, frames, fps, utt, spk)
 
 
@@ -137,7 +137,7 @@ class TestFeatureFile:
                          elements=st.floats(-1e6, 1e6, width=32)))
     def test_serialization_bijection(self, frames, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("ff")
-        k = resolve_kind("ext", dim=frames.shape[1], fps=100.0)
+        k = resolve_kind("ext", dim=frames.shape[1])
         seq = FeatureSequence(k, frames, 100.0, "u", "s")
         path = tmp / "x.s2vf"
         write_feature_file(path, seq)

@@ -4,11 +4,12 @@ valid file raise only an ``s2vc.Error`` or an ``OSError``.
 Edits land in the first 4 KB, where the headers, metadata and names are.
 The two CRC-guarded containers get their CRC recomputed after the edit, so
 the parse is reached; ``read_checkpoint_meta`` checks no CRC, so its input
-needs none.  Each ``@example`` is a mutation that once escaped as another
-exception.
+needs none.  A resumed run reads its training log to find where to cut it.
+Each ``@example`` is a mutation that once escaped as another exception.
 """
 
 import contextlib
+import json
 import struct
 import zlib
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import s2vc
-from s2vc import dsp, model
+from s2vc import dsp, model, training
 from s2vc.cli import ConfigError, resolve_train_config
 from s2vc.features import (FeatureSequence, Manifest, ManifestEntry,
                            load_feature_file, resolve_kind, write_feature_file)
@@ -75,6 +76,10 @@ def root(tmp_path_factory):
     Manifest([ManifestEntry(f"u{i}", f"spk{i % 2}", f"u{i}.wav",
                             {"mel": f"u{i}.mel.s2vf"}) for i in range(3)]
              ).save(root / "manifest.jsonl")
+    (root / "train_log.jsonl").write_text(
+        "".join(json.dumps({"step": step, "loss": 0.5 / step, "lr": 0.001,
+                            "wall_ms": 12.345}) + "\n" for step in (1, 2, 3)),
+        encoding="utf-8")
     (root / "c.cfg").write_text(
         "# a config file\n[train]\nlearning_rate = 0.001\nbatch_size = 1\n"
         "[model]\nd_model = 32\nsource_feature_kind = mel\nuse_sap = true\n",
@@ -139,3 +144,17 @@ def test_config_file(root, edits, cut):
     and then checks each value."""
     read_mutated(root, "c.cfg", edits, cut, resolve_train_config,
                  allowed=(ConfigError,))
+
+
+@fuzz(200)
+@given(edits=EDITS, cut=CUT)
+def test_log_bytes_to_keep(root, edits, cut):
+    """The part of the log a run resumed from step 2 keeps: whole lines, at
+    most the first two."""
+    def read(path):
+        raw = path.read_bytes()
+        keep = training._log_bytes_to_keep(path, 2)
+        kept = raw[:keep].splitlines(keepends=True)
+        assert len(kept) <= 2 and all(line.endswith(b"\n") for line in kept)
+
+    read_mutated(root, "train_log.jsonl", edits, cut, read)

@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses
 or exports a name it does not define, only ``cpus`` makes child processes
-and threads and talks to its children, no function is handed a share set
-or has a parameter it never reads, no checkpoint is loaded whole for its
-metadata, every exception derives from ``s2vc.Error`` and reaches the user
-through the one CLI boundary, and every function the traced benchmark
-wraps still exists and runs on the main thread only.
+and threads and talks to its children, only ``tensor`` reads the tape's
+state, no function is handed a share set or has a parameter it never reads,
+no checkpoint is loaded whole for its metadata, every exception derives
+from ``s2vc.Error`` and reaches the user through the one CLI boundary, and
+every function the traced benchmark wraps still exists and runs on the
+main thread only.
 
 No linter is a declared dependency, so the checks are ``ast`` walks.
 """
@@ -230,6 +231,35 @@ def test_only_cpus_starts_threads(module):
         assert [what for _, what in found] == ["threading", "concurrent.futures"]
     else:
         assert found == []
+
+
+def tape_state_uses(source):
+    """Sorted lines of ``source`` that name ``GradTape._active``, bare or as
+    a module's attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_active"
+                  and (getattr(node.value, "id", None) == "GradTape"
+                       or getattr(node.value, "attr", None) == "GradTape"))
+
+
+def test_tape_state_checker_sees_every_form():
+    source = ("from .tensor import GradTape\n"
+              "if T.GradTape._active is not None: pass\n"
+              "recording = GradTape._active\n"
+              "GradTape._active = None\n"
+              "s2vc.tensor.GradTape._active\n"
+              "cpus._active.shares\n"
+              "tape._active\n"
+              "'GradTape._active'\n")
+    assert tape_state_uses(source) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_tensor_reads_tape_state(module):
+    """Whether a tape is recording is ``tensor``'s to know: every other
+    module calls its ops and leaves the choice of path to them."""
+    if module != "tensor.py":
+        assert tape_state_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def parameters_named(source, name):

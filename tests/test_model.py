@@ -105,14 +105,25 @@ class TestSelfAttentionPool:
 
 class TestBatchnorm:
     def test_train_mode_updates_running_stats(self, rng):
+        """Train mode hands its batch statistics back and leaves the buffers
+        alone; ``update_running_stats`` folds them in."""
         params, buffers = {}, {}
         nn.init_batchnorm(params, buffers, "bn", 4)
         buffers["bn.running_mean"].data[...] = 0.5
         buffers["bn.running_var"].data[...] = 2.0
         x = (rng.normal(size=(10, 4)) * 3.0 + 1.0).astype(np.float32)
-        out = nn.batchnorm(params, buffers, "bn", Tensor(x), train=True).data
+        bn_stats = []
+        out = nn.batchnorm(params, buffers, "bn", Tensor(x), train=True,
+                           bn_stats=bn_stats).data
         np.testing.assert_allclose(out, (x - x.mean(0)) / np.sqrt(x.var(0) + nn.BN_EPS),
                                    atol=1e-5)
+        [(name, mu, var)] = bn_stats
+        assert name == "bn"
+        np.testing.assert_allclose(mu, x.mean(0, keepdims=True), rtol=1e-5)
+        np.testing.assert_allclose(var, x.var(0, keepdims=True), rtol=1e-5)
+        np.testing.assert_array_equal(buffers["bn.running_mean"].data, 0.5)
+        np.testing.assert_array_equal(buffers["bn.running_var"].data, 2.0)
+        nn.update_running_stats(buffers, name, mu, var)
         rm = buffers["bn.running_mean"].data.copy()
         rv = buffers["bn.running_var"].data.copy()
         m = nn.BN_MOMENTUM
@@ -265,12 +276,13 @@ class TestForward:
         # each layer is one fused op: the composite layers recorded 493 ops
         # here, the fused ones 117
         with CountingTape() as tape:
-            tiny_model.forward(mel_seq(rng, 30), [mel_seq(rng, 20)], train=True)
+            tiny_model.forward(mel_seq(rng, 30), [mel_seq(rng, 20)], train=True,
+                               bn_stats=[])
         assert tape.n_ops <= 130
 
     def test_train_mode_shapes(self, tiny_model, rng):
         src = mel_seq(rng, 12, spk="s1")
-        mel, trace = tiny_model.forward(src, [src], train=True)
+        mel, trace = tiny_model.forward(src, [src], train=True, bn_stats=[])
         assert mel.shape == (12, 80)
         assert trace.pooled_target is not None
 
@@ -399,7 +411,7 @@ class TestArchitecture:
                          for k, b in model.buffers.items()}
         utt = mel_seq(rng, 12, spk="s1")
         with GradTape() as tape:
-            pred, _ = model.forward(utt, [utt], train=True)
+            pred, _ = model.forward(utt, [utt], train=True, bn_stats=[])
             loss = reconstruction_loss(pred, Tensor(utt.frames, dtype=np.float64))
             tape.backward(loss)
         max_grad = {k: float(np.abs(p.grad).max()) for k, p in model.params.items()}

@@ -204,7 +204,7 @@ class TestAdamW:
     def test_first_step_magnitude(self):
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True,
                    dtype=np.float64)
-        opt = AdamW({"p": p}, lr=5e-5, weight_decay=0.0, eps=1e-8)
+        opt = AdamW({"p": p}, lr=5e-5, weight_decay=0.0)
         p.grad = np.ones(1)
         opt.step()
         # bias-corrected m/sqrt(v) is 1 on the first step
@@ -212,8 +212,7 @@ class TestAdamW:
 
     def test_two_steps_match_scalar_oracle(self):
         p = Tensor(np.array([0.5]), requires_grad=True, dtype=np.float64)
-        opt = AdamW({"p": p}, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8,
-                    weight_decay=0.01)
+        opt = AdamW({"p": p}, lr=5e-5, weight_decay=0.01)
         for g in (0.3, -0.7):
             p.grad = np.array([g])
             opt.step()
@@ -222,8 +221,9 @@ class TestAdamW:
         np.testing.assert_allclose(p.data, [expected], atol=1e-10)
 
     def test_degenerates_to_sign_sgd(self):
+        # on the first step the bias-corrected m / sqrt(v) is sign(g)
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=np.float64)
-        opt = AdamW({"p": p}, lr=0.01, beta1=0.0, beta2=0.0, weight_decay=0.0)
+        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.0)
         p.grad = np.array([0.5, -3.0])
         before = p.data.copy()
         opt.step()

@@ -107,7 +107,7 @@ class TestTrainConfig:
         assert TrainConfig().learning_rate == 5e-5
         # run_training builds its optimizer with AdamW's own moments and decay
         opt = AdamW({}, lr=5e-5)
-        assert (opt.beta1, opt.beta2, opt.weight_decay) == (0.9, 0.999, 0.01)
+        assert (T.ADAM_BETA1, T.ADAM_BETA2, opt.weight_decay) == (0.9, 0.999, 0.01)
         assert training.CLIP_GRAD_NORM == 1.0
 
     def test_rejects_bad_values(self):
@@ -336,6 +336,25 @@ class TestRunTraining:
         log_path = tmp_path / "run" / "train_log.jsonl"
         run_training(cfg)
         first = [json.loads(l) for l in log_path.read_text().splitlines()]
+        run_training(cfg, resume_from=tmp_path / "run" / "checkpoint_000002.s2vc")
+        again = [json.loads(l) for l in log_path.read_text().splitlines()]
+        assert [r["step"] for r in again] == [1, 2, 3, 4]
+        assert [r["loss"] for r in again] == [r["loss"] for r in first]
+
+    @pytest.mark.parametrize("damage", [
+        lambda line: line[:25],   # cut short by a crash mid-write
+        lambda line: b"[3]\n",    # JSON, but no object
+    ], ids=["cut", "list"])
+    def test_resume_drops_damaged_log_line(self, damage, corpus_manifest, tmp_path):
+        """A resumed run keeps the log up to its first damaged line and then
+        logs the steps and losses of an uninterrupted run."""
+        cfg = tiny_cfg(corpus_manifest, tmp_path / "run", max_steps=4,
+                       checkpoint_every=2)
+        log_path = tmp_path / "run" / "train_log.jsonl"
+        run_training(cfg)
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        first = [json.loads(l) for l in lines]
+        log_path.write_bytes(b"".join(lines[:2]) + damage(lines[2]))
         run_training(cfg, resume_from=tmp_path / "run" / "checkpoint_000002.s2vc")
         again = [json.loads(l) for l in log_path.read_text().splitlines()]
         assert [r["step"] for r in again] == [1, 2, 3, 4]
